@@ -1,15 +1,17 @@
-//! Node-count scaling benchmark of the dense and sparse MNA backends.
+//! Node-count scaling benchmark of the sparse MNA backend, the one
+//! real-valued Newton solver.
 //!
 //! An RC ladder (the canonical banded MNA system) is integrated over a
-//! fixed transient window with each backend pinned in turn, across a
-//! node-count sweep that straddles `spicesim::SPARSE_CROSSOVER`. The
-//! record this writes (`BENCH_sparse.json` at the workspace root) is
-//! the evidence behind the crossover constant: dense wins on small
-//! matrices (no DFS/ordering overhead), sparse wins past the
-//! crossover where dense's O(n^3) factor dominates.
+//! fixed transient window across a node-count sweep; the record this
+//! writes (`BENCH_sparse.json` at the workspace root) shows the cost
+//! growing near-linearly with the unknown count, as the banded pattern
+//! promises. Two ring-VCO records put the flow's own circuit (20
+//! unknowns in transient) on the same scale: one DC operating point,
+//! symbolic analysis included, and the mean cost of one transient
+//! Newton iteration (assembly, refactor and solve).
 //!
-//! The KLU-style lifecycle contract is asserted while the sparse side
-//! runs: exactly one symbolic analysis and one full numeric factor per
+//! The KLU-style lifecycle contract is asserted on every ladder size:
+//! exactly one symbolic analysis and one full numeric factor per
 //! topology, a refactor per later Newton solve, no pivot fallbacks.
 //!
 //! Custom harness (no criterion): `--test` runs a seconds-scale smoke
@@ -23,7 +25,7 @@ use netlist::topology::{build_ring_vco, VcoSizing};
 use netlist::{Circuit, SourceWaveform};
 use spicesim::dc::dc_operating_point;
 use spicesim::transient::{run_transient, TransientSpec};
-use spicesim::{SimOptions, SolverChoice};
+use spicesim::SimOptions;
 use telemetry::names;
 
 /// An `n`-section RC ladder driven by a step: `n` internal nodes, one
@@ -55,20 +57,13 @@ fn rc_ladder(n: usize) -> Circuit {
     c
 }
 
-fn opts(solver: SolverChoice) -> SimOptions {
-    SimOptions {
-        solver,
-        ..Default::default()
-    }
-}
-
-/// Integrates `circuit` over `steps` timesteps with the given backend
-/// and returns the elapsed microseconds.
-fn time_transient(circuit: &Circuit, steps: usize, solver: SolverChoice) -> f64 {
+/// Integrates `circuit` over `steps` timesteps and returns the elapsed
+/// microseconds.
+fn time_transient(circuit: &Circuit, steps: usize) -> f64 {
     let dt = 1.0e-9;
     let spec = TransientSpec::new(dt * steps as f64, dt).with_ic();
     let start = Instant::now();
-    let r = run_transient(circuit, &spec, &opts(solver)).expect("transient converges");
+    let r = run_transient(circuit, &spec, &SimOptions::default()).expect("transient converges");
     let micros = start.elapsed().as_secs_f64() * 1e6;
     black_box(r);
     micros
@@ -84,32 +79,26 @@ fn main() {
 
     let mut records: Vec<String> = Vec::new();
     let mut record = |name: &str, micros: f64| {
-        println!("{name:<44} {micros:>12.1} us");
+        println!("{name:<44} {micros:>12.2} us");
         records.push(format!(
-            "  {{ \"name\": \"{name}\", \"micros\": {micros:.1} }}"
+            "  {{ \"name\": \"{name}\", \"micros\": {micros:.2} }}"
         ));
     };
 
-    // One untimed pass per backend pages in the code and allocator
-    // arenas; otherwise the first measured size absorbs the warm-up.
-    let warmup = rc_ladder(sizes[0]);
-    time_transient(&warmup, 4, SolverChoice::Dense);
-    time_transient(&warmup, 4, SolverChoice::Sparse);
+    // One untimed pass pages in the code and allocator arenas;
+    // otherwise the first measured size absorbs the warm-up.
+    time_transient(&rc_ladder(sizes[0]), 4);
 
-    let mut at_largest = (0.0f64, 0.0f64);
     for &n in sizes {
         let circuit = rc_ladder(n);
-
-        let dense = time_transient(&circuit, steps, SolverChoice::Dense);
-
-        // The sparse side runs under a recorder so the analyze-once /
+        // Each size runs under a recorder so the analyze-once /
         // factor-once / refactor-many contract is checked on every
-        // size the record reports. The dense side runs unrecorded;
-        // telemetry costs nanoseconds per counter bump, noise here.
+        // size the record reports; a counter bump costs nanoseconds,
+        // noise here.
         let rec = telemetry::Recorder::new();
-        let sparse = {
+        let micros = {
             let _install = rec.install();
-            time_transient(&circuit, steps, SolverChoice::Sparse)
+            time_transient(&circuit, steps)
         };
         let m = rec.metrics();
         assert_eq!(m.counter(names::SIM_SPARSE_ANALYZE), Some(1));
@@ -123,36 +112,45 @@ fn main() {
             m.counter(names::SIM_SPARSE_REFACTOR_FALLBACK).unwrap_or(0),
             0
         );
-
-        record(&format!("rc_ladder_transient/n{n}/dense"), dense);
-        record(&format!("rc_ladder_transient/n{n}/sparse"), sparse);
-        at_largest = (dense, sparse);
+        record(&format!("rc_ladder_transient/n{n}"), micros);
     }
 
-    if !test_mode {
-        let (dense, sparse) = at_largest;
-        assert!(
-            sparse < dense,
-            "sparse ({sparse:.1} us) must beat dense ({dense:.1} us) at the largest size"
-        );
-    }
-
-    // A realistic small circuit for the other side of the crossover:
-    // the paper's 5-stage ring VCO operating point (13 unknowns).
+    // The paper's 5-stage ring VCO: one operating point, symbolic
+    // analysis included.
     let vco = build_ring_vco(&VcoSizing::nominal(), 5, 1.2, 0.8);
     let reps = if test_mode { 2 } else { 20 };
-    for (label, solver) in [
-        ("dense", SolverChoice::Dense),
-        ("sparse", SolverChoice::Sparse),
-    ] {
-        let o = opts(solver);
-        let start = Instant::now();
-        for _ in 0..reps {
-            black_box(dc_operating_point(&vco.circuit, &o).expect("DC converges"));
-        }
-        let micros = start.elapsed().as_secs_f64() * 1e6 / reps as f64;
-        record(&format!("ring_vco_dc/{label}"), micros);
+    let opts = SimOptions::default();
+    let start = Instant::now();
+    for _ in 0..reps {
+        black_box(dc_operating_point(&vco.circuit, &opts).expect("DC converges"));
     }
+    record(
+        "ring_vco_dc",
+        start.elapsed().as_secs_f64() * 1e6 / reps as f64,
+    );
+
+    // The same ring oscillating from its initial conditions at the
+    // measurement's coarse step: the flow's inner loop. A recorded run
+    // counts the Newton iterations; timed runs divide by that count.
+    let spec = TransientSpec::new(if test_mode { 0.5e-9 } else { 5e-9 }, 12.5e-12).with_ic();
+    let rec = telemetry::Recorder::new();
+    {
+        let _install = rec.install();
+        black_box(run_transient(&vco.circuit, &spec, &opts).expect("ring transient"));
+    }
+    let iterations = rec
+        .metrics()
+        .histogram(names::SIM_NEWTON_ITERATIONS_TRANSIENT)
+        .expect("newton histogram recorded")
+        .sum;
+    let start = Instant::now();
+    for _ in 0..reps {
+        black_box(run_transient(&vco.circuit, &spec, &opts).expect("ring transient"));
+    }
+    record(
+        "ring_vco_transient/per_newton_iteration",
+        start.elapsed().as_secs_f64() * 1e6 / reps as f64 / iterations,
+    );
 
     if !test_mode {
         let json = format!(

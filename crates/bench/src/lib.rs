@@ -18,7 +18,8 @@ pub enum Budget {
     /// Scaled-down budgets that finish in minutes on a laptop.
     Quick,
     /// The paper's budgets (§4.2–4.5): 100×30 GA, 100-sample MC,
-    /// 500-sample verification. Hours of CPU.
+    /// 500-sample verification. `yield_verify --full` builds its front
+    /// from scratch and verifies it in about 85 s on 2 vCPUs.
     Full,
 }
 

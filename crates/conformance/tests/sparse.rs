@@ -1,163 +1,220 @@
-//! Dense-vs-sparse solver conformance: the sparse MNA backend is a
-//! speed knob, never a result knob.
+//! Sparse-solver conformance: the one real-valued Newton backend
+//! checked against references that never pass through it.
 //!
-//! The two backends factor the same Jacobian with different pivot
-//! orders, so bit-identity is not the contract here (unlike the paired
-//! execution modes in `differential.rs`). The contract is a documented
-//! divergence band per analysis class:
+//! Each case compares the simulated result with a reference, within a
+//! band derived from what separates the two in exact arithmetic:
 //!
-//! * **Linear transient** (RC): per-step solves differ only in
-//!   floating-point summation order and the integration is
-//!   contractive, so samples must agree within `ULP_LINEAR` ulps or
-//!   `ABS_FLOOR` absolute.
-//! * **Nonlinear DC** (ring VCO, two-stage opamp): both backends run
-//!   the same Newton iteration to the same `vntol`/`reltol` stopping
-//!   rule, so converged operating points agree to Newton tolerance —
-//!   `ABS_DC` absolute or `ULP_DC` ulps, whichever is looser.
-//! * **Oscillator transient**: tiny per-step differences are amplified
-//!   through the oscillator's phase, so the comparison is on the
-//!   measured frequency (`REL_FREQ` relative), not on samples.
+//! * **Linear RC transient**: the closed-form backward-Euler recurrence,
+//!   which the simulator reproduces up to round-off, and the analytic
+//!   exponential, within BE's global truncation error.
+//! * **Lossless LC transient**: the analytic cosine, within BE's
+//!   amplitude and phase truncation error.
+//! * **Nonlinear DC** (ring VCO, two-stage opamp): the operating point's
+//!   own KCL residual, evaluated device by device from the netlist,
+//!   within the second-order remainder that Newton's stopping rule
+//!   leaves.
 //!
 //! The KLU-style lifecycle itself (symbolic analysis once per
 //! topology, numeric factor once, refactor-only afterwards) is
-//! asserted through telemetry counters — the acceptance criterion of
-//! the sparse-solver issue.
+//! asserted through telemetry counters, and a node-relabelled system
+//! must solve bit-identically under the composed ordering.
 
-use conformance::{bits_identical, ulp_distance};
+use conformance::bits_identical;
 use netlist::topology::{
     build_rc_lowpass, build_ring_vco, build_two_stage_opamp, OpampSizing, VcoSizing,
 };
-use netlist::SourceWaveform;
-use spicesim::dc::dc_operating_point;
+use netlist::{Circuit, Device, NodeId, SourceWaveform};
+use spicesim::dc::{dc_operating_point, OpPoint};
+use spicesim::mosfet::eval_mosfet;
 use spicesim::transient::{run_transient, TransientSpec};
-use spicesim::{SimOptions, SolverChoice};
+use spicesim::SimOptions;
 use telemetry::names;
 
-/// Linear-transient band: 2^20 ulps (~2.5e-10 relative) or 1e-12 V
-/// absolute near zero.
-const ULP_LINEAR: u64 = 1 << 20;
-const ABS_FLOOR: f64 = 1e-12;
+/// Round-off band of a linear transient against its exact discrete
+/// solution. Each step rounds to a few ulps of values of order 1 and
+/// the RC recurrence contracts earlier errors by `1/(1 + h/τ)`, so the
+/// accumulated error stays below `(few ulps)·τ/h` ≈ 1e-13 at
+/// `h/τ = 0.005`; 1e-12 leaves a decade for the LU's pivoting.
+const ABS_ROUNDOFF: f64 = 1e-12;
 
-/// Nonlinear-DC band: Newton stops on `vntol = 1e-6`, so converged
-/// endpoints may legitimately differ by the final update; in practice
-/// quadratic convergence lands them far closer. 1e-9 absolute covers
-/// the observed divergence with two orders of margin.
-const ULP_DC: u64 = 1 << 24;
-const ABS_DC: f64 = 1e-9;
-
-/// Oscillator frequency agreement between backends.
-const REL_FREQ: f64 = 1e-3;
-
-fn dense_opts() -> SimOptions {
-    SimOptions {
-        solver: SolverChoice::Dense,
-        ..Default::default()
-    }
-}
-
-fn sparse_opts() -> SimOptions {
-    SimOptions {
-        solver: SolverChoice::Sparse,
-        ..Default::default()
-    }
-}
-
-/// Asserts `a` and `b` agree within the `(max_ulps, abs_floor)` band.
-fn assert_within_band(label: &str, a: f64, b: f64, max_ulps: u64, abs_floor: f64) {
-    if bits_identical(a, b) || (a - b).abs() <= abs_floor {
-        return;
-    }
-    match ulp_distance(a, b) {
-        Some(d) if d <= max_ulps => {}
-        d => panic!(
-            "{label}: dense {a:e} vs sparse {b:e} diverges by {d:?} ulps \
-             (band: {max_ulps} ulps or {abs_floor:e} absolute)"
-        ),
-    }
-}
-
-/// Ring-VCO DC operating point: the full solution vector (node
-/// voltages and source branch currents) must sit inside the Newton
-/// band.
-#[test]
-fn ring_vco_dc_pair_within_newton_band() {
-    let vco = build_ring_vco(&VcoSizing::nominal(), 5, 1.2, 0.8);
-    let dense = dc_operating_point(&vco.circuit, &dense_opts()).expect("dense DC converges");
-    let sparse = dc_operating_point(&vco.circuit, &sparse_opts()).expect("sparse DC converges");
-    assert_eq!(dense.solution().len(), sparse.solution().len());
-    for (i, (d, s)) in dense.solution().iter().zip(sparse.solution()).enumerate() {
-        assert_within_band(&format!("vco dc x[{i}]"), *d, *s, ULP_DC, ABS_DC);
-    }
-}
-
-/// Two-stage opamp DC — a different topology class (current mirrors,
-/// compensation network, V-source branch rows) through the same pair.
-#[test]
-fn opamp_dc_pair_within_newton_band() {
-    let amp = build_two_stage_opamp(&OpampSizing::nominal(), 1.2, 20e-6);
-    let dense = dc_operating_point(&amp.circuit, &dense_opts()).expect("dense DC converges");
-    let sparse = dc_operating_point(&amp.circuit, &sparse_opts()).expect("sparse DC converges");
-    assert_eq!(dense.solution().len(), sparse.solution().len());
-    for (i, (d, s)) in dense.solution().iter().zip(sparse.solution()).enumerate() {
-        assert_within_band(&format!("opamp dc x[{i}]"), *d, *s, ULP_DC, ABS_DC);
-    }
-}
-
-/// Linear RC transient: every recorded sample of the output waveform
-/// must sit inside the tight linear band.
-#[test]
-fn rc_transient_pair_within_linear_band() {
-    let step = SourceWaveform::Pulse {
+/// A step from 0 to 1 V at t = 0 with a 1 ps edge: sampled at any
+/// step of the runs below it reads exactly 1.
+fn unit_step() -> SourceWaveform {
+    SourceWaveform::Pulse {
         v1: 0.0,
         v2: 1.0,
         delay: 0.0,
-        rise: 1.0e-9,
-        fall: 1.0e-9,
+        rise: 1.0e-12,
+        fall: 1.0e-12,
         width: 1.0,
         period: 0.0,
-    };
-    let c = build_rc_lowpass(1.0e3, 1.0e-9, step);
+    }
+}
+
+/// RC step response (τ = 1 µs, h = 5 ns, backward Euler), every
+/// recorded sample against two references:
+///
+/// * the closed-form BE recurrence `v_k = (v_{k−1} + a)/(1 + a)`,
+///   `a = h/τ`, within [`ABS_ROUNDOFF`];
+/// * the analytic `1 − e^{−t/τ}`. BE trails it by
+///   `(1 + a)^{−k} − e^{−ka} = e^{−x}(e^{k(a − ln(1 + a))} − 1)` at
+///   `x = ka = t/τ`, whose exponent is at most `x·a/2`; the error is
+///   therefore at most `x·e^{−x}·(a/2)·e^{x·a/2}`, below
+///   `a·(1 + a)/(2e)` over the 5τ window (peak at `x = 1`).
+#[test]
+fn rc_transient_pair_within_linear_band() {
+    let (tau, h) = (1.0e-6, 5.0e-9);
+    let c = build_rc_lowpass(1.0e3, 1.0e-9, unit_step());
     let out = c.find_node("out").expect("rc output node");
-    let spec = TransientSpec::new(5.0e-6, 5.0e-9).with_ic();
-    let dense = run_transient(&c, &spec, &dense_opts()).expect("dense transient");
-    let sparse = run_transient(&c, &spec, &sparse_opts()).expect("sparse transient");
-    let wd = dense.voltage(out);
-    let ws = sparse.voltage(out);
-    assert_eq!(wd.len(), ws.len(), "sample counts must match");
-    for (i, (d, s)) in wd.values().iter().zip(ws.values()).enumerate() {
-        assert_within_band(
-            &format!("rc v(out) sample {i}"),
-            *d,
-            *s,
-            ULP_LINEAR,
-            ABS_FLOOR,
+    let spec = TransientSpec::new(5.0 * tau, h).with_ic();
+    let wave = run_transient(&c, &spec, &SimOptions::default())
+        .expect("rc transient")
+        .voltage(out);
+    let a = h / tau;
+    let truncation = a * (1.0 + a) / (2.0 * std::f64::consts::E);
+    let mut recurrence = 0.0;
+    for (k, (&t, &v)) in wave.times().iter().zip(wave.values()).enumerate() {
+        if k > 0 {
+            recurrence = (recurrence + a) / (1.0 + a);
+        }
+        assert!(
+            (v - recurrence).abs() <= ABS_ROUNDOFF,
+            "sample {k}: {v:e} vs BE recurrence {recurrence:e}"
+        );
+        let analytic = 1.0 - (-t / tau).exp();
+        assert!(
+            (v - analytic).abs() <= truncation,
+            "sample {k}: {v:e} vs analytic {analytic:e} (band {truncation:e})"
         );
     }
 }
 
-/// Ring-VCO transient: phase is chaotic under last-ulp perturbations,
-/// so the pair is compared on the measured oscillation frequency.
+/// Lossless LC tank (10 nH ‖ 10 pF) ringing from a 1 V capacitor charge,
+/// 1,000 backward-Euler steps per period over two periods, every sample
+/// against the analytic `cos(ω0·t)`.
+///
+/// With `φ = ω0·h`, BE maps `v + j·i·√(L/C)` through `1/(1 − jφ)` per
+/// step: amplitude `r = (1 + φ²)^{−½}` and phase `atan φ`. After `k`
+/// steps the sample trails the cosine by at most
+/// `1 − r^k ≤ k·φ²/2` in amplitude plus `k·(φ − atan φ) ≤ k·φ³/3` in
+/// phase. The `t = 0` consistency step (a BE step of `h·1e-6`) starts
+/// the inductor at `i = h·1e-6/L`, a phase offset of `φ·1e-6`; the
+/// `1e-8` floor covers it and the round-off.
 #[test]
-fn ring_vco_transient_pair_agrees_on_frequency() {
-    let vco = build_ring_vco(&VcoSizing::nominal(), 5, 1.2, 1.0);
-    let spec = TransientSpec::new(10e-9, 2e-12)
-        .with_ic()
-        .recording_every(4);
-    let dense = run_transient(&vco.circuit, &spec, &dense_opts()).expect("dense transient");
-    let sparse = run_transient(&vco.circuit, &spec, &sparse_opts()).expect("sparse transient");
-    let fd = dense
-        .voltage(vco.out)
-        .frequency(0.6, 4)
-        .expect("dense run oscillates");
-    let fs = sparse
-        .voltage(vco.out)
-        .frequency(0.6, 4)
-        .expect("sparse run oscillates");
-    let rel = (fd - fs).abs() / fd;
+fn lc_transient_within_backward_euler_truncation_band() {
+    let (l, cap): (f64, f64) = (10.0e-9, 10.0e-12);
+    let w0 = 1.0 / (l * cap).sqrt();
+    let period = 2.0 * std::f64::consts::PI / w0;
+    let h = period / 1000.0;
+    let mut c = Circuit::new("lc");
+    let top = c.node("top");
+    c.add_capacitor_with_ic("C1", top, Circuit::GROUND, cap, 1.0);
+    c.add_inductor("L1", top, Circuit::GROUND, l);
+    let spec = TransientSpec::new(2.0 * period, h).with_ic();
+    let wave = run_transient(&c, &spec, &SimOptions::default())
+        .expect("lc transient")
+        .voltage(top);
+    let phi = w0 * h;
+    assert_eq!(wave.len(), 2001, "one sample per step plus t = 0");
+    for (k, (&t, &v)) in wave.times().iter().zip(wave.values()).enumerate() {
+        let steps = k as f64;
+        let band = steps * phi * phi / 2.0 + steps * phi.powi(3) / 3.0 + 1e-8;
+        let analytic = (w0 * t).cos();
+        assert!(
+            (v - analytic).abs() <= band,
+            "sample {k}: {v:e} vs analytic {analytic:e} (band {band:e})"
+        );
+    }
+}
+
+/// Net current leaving each node (indexed by `NodeId::index()`; the
+/// ground row is unused) at a DC operating point, evaluated device by
+/// device from the netlist, and the largest voltage-source constraint
+/// violation.
+fn kcl_residual(circuit: &Circuit, op: &OpPoint, gmin: f64) -> (Vec<f64>, f64) {
+    let mut leaving = vec![0.0; circuit.num_nodes()];
+    let mut flow = |from: NodeId, to: NodeId, i: f64| {
+        leaving[from.index()] += i;
+        leaving[to.index()] -= i;
+    };
+    let mut source_violation = 0.0f64;
+    for (id, device) in circuit.devices() {
+        match device {
+            Device::Resistor { a, b, value } => {
+                flow(*a, *b, (op.voltage(*a) - op.voltage(*b)) / value);
+            }
+            // Open at DC.
+            Device::Capacitor { .. } => {}
+            Device::VSource { pos, neg, waveform } => {
+                flow(*pos, *neg, op.branch_current(id).expect("source branch"));
+                let v = op.voltage(*pos) - op.voltage(*neg);
+                source_violation = source_violation.max((v - waveform.dc_value()).abs());
+            }
+            Device::ISource { pos, neg, waveform } => flow(*pos, *neg, waveform.dc_value()),
+            Device::Mos(m) => {
+                let (vd, vs) = (op.voltage(m.drain), op.voltage(m.source));
+                let e = eval_mosfet(m, vd, op.voltage(m.gate), vs);
+                flow(m.drain, m.source, e.id + gmin * (vd - vs));
+            }
+            other => panic!("no DC residual for {other:?}"),
+        }
+    }
+    (leaving, source_violation)
+}
+
+/// Asserts the default-options operating point of `circuit` satisfies
+/// KCL at every node within Newton's band.
+///
+/// Newton stops once its last update `dx` has `|dx_i| ≤ δ = vntol +
+/// reltol·|x_i|`, and that update solved the linearisation exactly, so
+/// the KCL residual left is the second-order remainder of the device
+/// currents over `dx`. For a square-law MOSFET of `β = kp·W/L` every
+/// second derivative in `(v_gs, v_ds)` is at most `β(1 + λ·vdd)`, and a
+/// terminal update of at most `δ` moves each of those by at most `2δ`,
+/// so the remainder is at most `½·4·β(1 + λ·vdd)·(2δ)² = 8β(1 + λ·vdd)δ²`
+/// per device on the node. The rest of these circuits is linear, so
+/// only round-off remains there: 1 fA is thousands of ulps of their
+/// mA-scale currents.
+fn assert_dc_point_satisfies_kcl(circuit: &Circuit, vdd: f64) {
+    let opts = SimOptions::default();
+    let op = dc_operating_point(circuit, &opts).expect("DC converges");
+    let (residual, source_violation) = kcl_residual(circuit, &op, opts.gmin);
     assert!(
-        rel < REL_FREQ,
-        "backend frequency split {rel:e} (dense {fd:e} Hz, sparse {fs:e} Hz)"
+        source_violation <= ABS_ROUNDOFF,
+        "voltage-source constraint violated by {source_violation:e} V"
     );
+    let delta = opts.vntol + opts.reltol * vdd;
+    let mut band = vec![1e-15; circuit.num_nodes()];
+    for (_, device) in circuit.devices() {
+        if let Device::Mos(m) = device {
+            let beta = m.model.kp * m.w / m.l;
+            let remainder = 8.0 * beta * (1.0 + m.lambda() * vdd) * delta * delta;
+            for node in [m.drain, m.source] {
+                band[node.index()] += remainder;
+            }
+        }
+    }
+    for (node, (r, b)) in residual.iter().zip(&band).enumerate().skip(1) {
+        assert!(
+            r.abs() <= *b,
+            "node {node}: KCL residual {r:e} A outside the Newton band {b:e} A"
+        );
+    }
+}
+
+/// Ring-VCO DC operating point (its metastable point) satisfies KCL.
+#[test]
+fn ring_vco_dc_point_satisfies_kcl_within_newton_band() {
+    let vco = build_ring_vco(&VcoSizing::nominal(), 5, 1.2, 0.8);
+    assert_dc_point_satisfies_kcl(&vco.circuit, 1.2);
+}
+
+/// Two-stage opamp DC — a different topology class (current mirrors,
+/// compensation network, a current-source bias) through the same check.
+#[test]
+fn opamp_dc_point_satisfies_kcl_within_newton_band() {
+    let amp = build_two_stage_opamp(&OpampSizing::nominal(), 1.2, 20e-6);
+    assert_dc_point_satisfies_kcl(&amp.circuit, 1.2);
 }
 
 /// The analyze-once / factor-once / refactor-many lifecycle, observed
@@ -186,7 +243,7 @@ fn sparse_lifecycle_is_analyze_once_refactor_many() {
     let rec = telemetry::Recorder::new();
     {
         let _install = rec.install();
-        run_transient(&c, &spec, &sparse_opts()).expect("sparse transient");
+        run_transient(&c, &spec, &SimOptions::default()).expect("sparse transient");
     }
     let m = rec.metrics();
     assert_eq!(

@@ -1,10 +1,10 @@
 //! Dense row-major `f64` matrices with LU factorisation.
 //!
-//! The dense solver remains the fast path for small MNA systems (a few
-//! dozen unknowns); past the crossover in
-//! `spicesim::options::SPARSE_CROSSOVER` the sparse analyze/factor/
-//! refactor solver in [`crate::sparse`] takes over. The elimination
-//! itself lives in [`crate::lu`], shared with the complex solver.
+//! Circuit Newton solves go through the sparse analyze/factor/refactor
+//! solver in [`crate::sparse`]; this dense solver serves `tablemodel`'s
+//! RBF fits, whose kernel matrices are dense, and is the kernel-level
+//! reference in this crate's tests. The elimination itself lives in
+//! [`crate::lu`], shared with the complex solver.
 
 use std::fmt;
 use std::ops::{Index, IndexMut};

@@ -2,8 +2,7 @@
 //! source-stepping continuation.
 
 use netlist::{Circuit, DeviceId, NodeId};
-use numkit::sparse::{FactorMode, SparseSolver};
-use numkit::Matrix;
+use numkit::sparse::SparseSolver;
 
 use crate::error::SimError;
 use crate::mna::{AssembleContext, MnaSystem, SparsePlan};
@@ -49,65 +48,37 @@ impl OpPoint {
     }
 }
 
-/// Reusable Newton scratch: the MNA matrix (dense or sparse backend)
-/// and RHS vector.
+/// Reusable Newton scratch: the topology's sparse assembly plan, its
+/// CSC value array and RHS, and the sparse LU that factors them.
 ///
 /// Assembly clears and re-stamps these in place, so one workspace
 /// allocated per analysis serves every Newton iteration, every
-/// continuation step, and (in transient) every timestep. On the sparse
-/// backend this is also where the KLU-style lifecycle hangs: the
-/// topology's stamp pattern and symbolic analysis happen once here, the
+/// continuation step, and (in transient) every timestep. This is where
+/// the KLU-style lifecycle hangs: the topology's stamp pattern, its
+/// bound value slots and the symbolic analysis happen once here, the
 /// numeric factor once on the first solve, and every later Newton
 /// iteration pays only a numeric refactor.
 pub(crate) struct SolveWorkspace {
-    backend: Backend,
+    plan: SparsePlan,
+    values: Vec<f64>,
     b: Vec<f64>,
-}
-
-enum Backend {
-    Dense {
-        g: Matrix,
-    },
-    // Boxed: the solver carries its factor and scratch arenas, which
-    // would otherwise dominate the enum footprint for dense users.
-    Sparse {
-        plan: SparsePlan,
-        values: Vec<f64>,
-        solver: Box<SparseSolver>,
-    },
+    solver: SparseSolver,
 }
 
 impl SolveWorkspace {
-    /// Scratch sized for `sys`, choosing the backend from
-    /// `opts.solver` (see [`crate::options::SolverChoice`]).
-    pub(crate) fn for_system(sys: &MnaSystem<'_>, opts: &SimOptions) -> Self {
-        let n = sys.size();
-        let backend = if opts.solver.resolve_sparse(n) {
-            let plan = sys.sparse_plan();
-            let solver = Box::new(SparseSolver::new(plan.pattern()));
-            if telemetry::enabled() {
-                telemetry::counter_add(names::SIM_SPARSE_ANALYZE, 1);
-            }
-            Backend::Sparse {
-                values: vec![0.0; plan.pattern().nnz()],
-                plan,
-                solver,
-            }
-        } else {
-            Backend::Dense {
-                g: Matrix::zeros(n, n),
-            }
-        };
-        SolveWorkspace {
-            backend,
-            b: vec![0.0; n],
+    /// Plans and analyses `sys`'s topology.
+    pub(crate) fn for_system(sys: &MnaSystem<'_>) -> Self {
+        let plan = sys.sparse_plan();
+        let solver = SparseSolver::new(plan.pattern());
+        if telemetry::enabled() {
+            telemetry::counter_add(names::SIM_SPARSE_ANALYZE, 1);
         }
-    }
-
-    /// Whether the sparse backend was selected (for tests/telemetry).
-    #[cfg(test)]
-    pub(crate) fn is_sparse(&self) -> bool {
-        matches!(self.backend, Backend::Sparse { .. })
+        SolveWorkspace {
+            values: vec![0.0; plan.pattern().nnz()],
+            b: vec![0.0; sys.size()],
+            plan,
+            solver,
+        }
     }
 
     /// Assembles about `x` and solves one Newton step.
@@ -117,27 +88,27 @@ impl SolveWorkspace {
         x: &[f64],
         ctx: &AssembleContext<'_>,
     ) -> Result<Vec<f64>, numkit::matrix::SolveMatrixError> {
-        match &mut self.backend {
-            Backend::Dense { g } => {
-                sys.assemble(x, ctx, g, &mut self.b);
-                g.solve(&self.b)
-            }
-            Backend::Sparse {
-                plan,
-                values,
-                solver,
-            } => {
-                sys.assemble_sparse(x, ctx, plan, values, &mut self.b);
-                let (x_new, mode) = solver.solve(values, &self.b)?;
-                if telemetry::enabled() {
-                    let counter = match mode {
-                        FactorMode::Factor => names::SIM_SPARSE_FACTOR,
-                        FactorMode::Refactor => names::SIM_SPARSE_REFACTOR,
-                        FactorMode::RefactorFallback => names::SIM_SPARSE_REFACTOR_FALLBACK,
-                    };
-                    telemetry::counter_add(counter, 1);
-                }
-                Ok(x_new)
+        sys.assemble(x, ctx, &self.plan, &mut self.values, &mut self.b);
+        self.solver.solve(&self.values, &self.b).map(|(x, _)| x)
+    }
+}
+
+impl Drop for SolveWorkspace {
+    /// Reports the solver's factor/refactor/fallback counts once per
+    /// analysis: a counter bump per Newton iteration would cost a
+    /// shared-registry lookup on the hottest path of a traced run.
+    fn drop(&mut self) {
+        if !telemetry::enabled() || std::thread::panicking() {
+            return;
+        }
+        let stats = self.solver.stats();
+        for (name, count) in [
+            (names::SIM_SPARSE_FACTOR, stats.factors - stats.fallbacks),
+            (names::SIM_SPARSE_REFACTOR, stats.refactors),
+            (names::SIM_SPARSE_REFACTOR_FALLBACK, stats.fallbacks),
+        ] {
+            if count > 0 {
+                telemetry::counter_add(name, count);
             }
         }
     }
@@ -231,7 +202,7 @@ pub fn dc_operating_point(circuit: &Circuit, opts: &SimOptions) -> Result<OpPoin
     let _solve_span = telemetry::span("solve").attr("analysis", "dc");
     opts.validate()?;
     let sys = MnaSystem::new(circuit)?;
-    let mut ws = SolveWorkspace::for_system(&sys, opts);
+    let mut ws = SolveWorkspace::for_system(&sys);
     let x = solve_dc(&sys, opts, &mut ws)?;
     Ok(make_op(&sys, x))
 }
@@ -373,7 +344,7 @@ pub fn dc_sweep(
             prev_solution: None,
             dt: 0.0,
         };
-        let ws = ws.get_or_insert_with(|| SolveWorkspace::for_system(&sys, opts));
+        let ws = ws.get_or_insert_with(|| SolveWorkspace::for_system(&sys));
         let x = match &guess {
             Some(g) => match newton_solve(&sys, g, &base_ctx, opts, "dc", ws) {
                 Ok(x) => x,
@@ -696,7 +667,7 @@ mod tests {
             ..Default::default()
         };
         let sys = MnaSystem::new(&c).unwrap();
-        let mut ws = SolveWorkspace::for_system(&sys, &opts);
+        let mut ws = SolveWorkspace::for_system(&sys);
         let base_ctx = AssembleContext {
             dc_sources: true,
             gmin: opts.gmin,
@@ -741,43 +712,35 @@ mod tests {
     }
 
     #[test]
-    fn sparse_backend_matches_dense_on_ring_vco_dc() {
-        let vco = build_ring_vco(&VcoSizing::nominal(), 5, 1.2, 0.8);
-        let dense = SimOptions {
-            solver: crate::options::SolverChoice::Dense,
-            ..Default::default()
-        };
-        let sparse = SimOptions {
-            solver: crate::options::SolverChoice::Sparse,
-            ..Default::default()
-        };
-        let od = dc_operating_point(&vco.circuit, &dense).unwrap();
-        let os = dc_operating_point(&vco.circuit, &sparse).unwrap();
-        for (d, s) in od.solution().iter().zip(os.solution()) {
-            assert!(
-                (d - s).abs() < 1e-6,
-                "sparse {s} diverged from dense {d} beyond Newton tolerance"
-            );
+    fn oscillator_measurement_analyses_once_per_pass_and_factors_every_iteration() {
+        // Work pin on the default options: each of measure_oscillator's
+        // two transients analyses the ring once and factors it once, and
+        // every other Newton iteration is a numeric refactor.
+        use crate::measure::{measure_oscillator, OscConfig};
+        let vco = build_ring_vco(&VcoSizing::nominal(), 5, 1.2, 0.9);
+        let rec = telemetry::Recorder::new();
+        {
+            let _install = rec.install();
+            measure_oscillator(
+                &vco.circuit,
+                vco.out,
+                vco.vdd_source,
+                &OscConfig::default(),
+                &SimOptions::default(),
+                None,
+            )
+            .expect("vco oscillates");
         }
-    }
-
-    #[test]
-    fn sparse_workspace_selected_by_choice_and_crossover() {
-        let mut c = Circuit::new("div");
-        let a = c.node("a");
-        c.add_vsource("V1", a, Circuit::GROUND, SourceWaveform::Dc(1.0));
-        c.add_resistor("R1", a, Circuit::GROUND, 1e3);
-        let sys = MnaSystem::new(&c).unwrap();
-        let dense = SimOptions::default();
-        // 2 unknowns — far below the crossover.
-        if crate::options::sparse_override_from_env().is_none() {
-            assert!(!SolveWorkspace::for_system(&sys, &dense).is_sparse());
-        }
-        let forced = SimOptions {
-            solver: crate::options::SolverChoice::Sparse,
-            ..Default::default()
-        };
-        assert!(SolveWorkspace::for_system(&sys, &forced).is_sparse());
+        let m = rec.metrics();
+        let factors = m.counter(names::SIM_SPARSE_FACTOR).unwrap_or(0);
+        let refactors = m.counter(names::SIM_SPARSE_REFACTOR).unwrap_or(0);
+        assert_eq!(m.counter(names::SIM_SPARSE_ANALYZE), Some(2));
+        assert_eq!(factors, 2);
+        let iterations = m
+            .histogram(names::SIM_NEWTON_ITERATIONS_TRANSIENT)
+            .expect("newton histogram recorded")
+            .sum;
+        assert_eq!((factors + refactors) as f64, iterations);
     }
 
     #[test]

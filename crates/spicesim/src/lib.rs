@@ -55,5 +55,5 @@ pub mod transient;
 pub mod waveform;
 
 pub use error::SimError;
-pub use options::{IntegrationMethod, SimOptions, SolverChoice, SPARSE_CROSSOVER};
+pub use options::{IntegrationMethod, SimOptions};
 pub use waveform::Waveform;

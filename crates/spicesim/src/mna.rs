@@ -13,25 +13,16 @@
 
 use netlist::{Circuit, Device, DeviceId, NodeId};
 use numkit::sparse::CscPattern;
-use numkit::Matrix;
 
 use crate::error::SimError;
 use crate::mosfet::eval_mosfet;
 
-/// Destination of one assembly pass's matrix stamps. The dense path
-/// stamps straight into a [`Matrix`]; the sparse path stamps into a
-/// pre-analyzed CSC value array (or, once per topology, into a
-/// coordinate recorder that discovers the pattern).
-pub trait Stamp {
+/// Destination of one assembly pass's matrix stamps: the bound value
+/// array of a [`SparsePlan`], or, once per topology, the coordinate
+/// recorder that discovers the plan's pattern.
+trait Stamp {
     /// Adds `value` at `(r, c)`.
     fn add(&mut self, r: usize, c: usize, value: f64);
-}
-
-impl Stamp for Matrix {
-    #[inline]
-    fn add(&mut self, r: usize, c: usize, value: f64) {
-        self.add_at(r, c, value);
-    }
 }
 
 /// Records stamp coordinates to discover a topology's sparsity pattern.
@@ -45,34 +36,58 @@ impl Stamp for PatternRecorder {
     }
 }
 
-/// CSC stamp target: scatters into the plan's value array by binary
-/// search within each (sorted) column.
+/// Marks a position of [`SparsePlan`]'s slot table that the device walk
+/// never stamps.
+const NO_SLOT: u32 = u32::MAX;
+
+/// CSC stamp target: an indexed add through the plan's bound slots.
 struct CscStamp<'p> {
-    pattern: &'p CscPattern,
+    n: usize,
+    slots: &'p [u32],
     values: &'p mut [f64],
 }
 
 impl Stamp for CscStamp<'_> {
     #[inline]
     fn add(&mut self, r: usize, c: usize, value: f64) {
-        let e = self
-            .pattern
-            .entry(r, c)
-            .expect("stamp outside the recorded sparsity pattern");
-        self.values[e] += value;
+        let e = self.slots[r * self.n + c];
+        assert!(e != NO_SLOT, "stamp outside the recorded sparsity pattern");
+        self.values[e as usize] += value;
     }
 }
 
 /// The per-topology sparse assembly plan: the superset sparsity pattern
-/// every analysis context stamps within. Built once by
-/// [`MnaSystem::sparse_plan`]; the pattern (not the values) is what the
-/// sparse solver's symbolic analysis consumes.
+/// every analysis context stamps within, plus each position's value
+/// slot bound once. Built by [`MnaSystem::sparse_plan`]; the pattern
+/// (not the values) is what the sparse solver's symbolic analysis
+/// consumes, and the slots turn every stamp into an indexed add.
 #[derive(Debug, Clone)]
 pub struct SparsePlan {
     pattern: CscPattern,
+    /// `slots[r * n + c]` = value-array index of entry `(r, c)`, or
+    /// [`NO_SLOT`] where the walk never stamps: an `n × n` table,
+    /// 1.6 KB for the 20-unknown ring VCO.
+    slots: Vec<u32>,
 }
 
 impl SparsePlan {
+    fn bind(pattern: CscPattern) -> Self {
+        let n = pattern.dim();
+        assert!(
+            pattern.nnz() < NO_SLOT as usize,
+            "pattern too large for u32 slots"
+        );
+        let mut slots = vec![NO_SLOT; n * n];
+        let mut e: u32 = 0;
+        for c in 0..n {
+            for &r in pattern.col_rows(c) {
+                slots[r * n + c] = e;
+                e += 1;
+            }
+        }
+        SparsePlan { pattern, slots }
+    }
+
     /// The recorded sparsity pattern.
     pub fn pattern(&self) -> &CscPattern {
         &self.pattern
@@ -197,20 +212,6 @@ impl<'c> MnaSystem<'c> {
         }
     }
 
-    /// Assembles the linearised system `G·x_next = b` about the current
-    /// iterate `x` into the provided matrix and RHS (cleared first).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `g`/`b` have the wrong dimensions (internal misuse).
-    pub fn assemble(&self, x: &[f64], ctx: &AssembleContext<'_>, g: &mut Matrix, b: &mut [f64]) {
-        assert_eq!(g.rows(), self.size, "matrix size mismatch");
-        assert_eq!(b.len(), self.size, "rhs size mismatch");
-        g.clear();
-        b.fill(0.0);
-        self.assemble_into(x, ctx, g, b);
-    }
-
     /// Records the superset sparsity pattern of this topology: one
     /// assembly pass under a context that enables every conditional
     /// stamp (capacitor companions, inductor companions), so DC,
@@ -235,20 +236,20 @@ impl<'c> MnaSystem<'c> {
         };
         let mut b = vec![0.0; self.size];
         self.assemble_into(&x0, &ctx, &mut rec, &mut b);
-        SparsePlan {
-            pattern: CscPattern::from_entries(self.size, &rec.entries),
-        }
+        SparsePlan::bind(CscPattern::from_entries(self.size, &rec.entries))
     }
 
-    /// Sparse counterpart of [`assemble`](Self::assemble): stamps into
-    /// `plan`'s CSC value array instead of a dense matrix.
+    /// Assembles the linearised system `G·x_next = b` about the current
+    /// iterate `x`: stamps into `plan`'s CSC value array and the RHS
+    /// (both cleared first).
     ///
     /// # Panics
     ///
-    /// Panics if `values`/`b` have the wrong lengths or the context
-    /// stamps a position outside the recorded pattern (both internal
-    /// misuse — the plan is a superset of every analysis context).
-    pub fn assemble_sparse(
+    /// Panics if `plan` was built for another size, `values`/`b` have the
+    /// wrong lengths or the context stamps a position outside the
+    /// recorded pattern (all internal misuse — the plan is a superset of
+    /// every analysis context).
+    pub fn assemble(
         &self,
         x: &[f64],
         ctx: &AssembleContext<'_>,
@@ -256,20 +257,22 @@ impl<'c> MnaSystem<'c> {
         values: &mut [f64],
         b: &mut [f64],
     ) {
+        assert_eq!(plan.pattern.dim(), self.size, "plan size mismatch");
         assert_eq!(values.len(), plan.pattern.nnz(), "value array mismatch");
         assert_eq!(b.len(), self.size, "rhs size mismatch");
         values.fill(0.0);
         b.fill(0.0);
         let mut stamp = CscStamp {
-            pattern: &plan.pattern,
+            n: self.size,
+            slots: &plan.slots,
             values,
         };
         self.assemble_into(x, ctx, &mut stamp, b);
     }
 
-    /// The device walk shared by every stamp destination. Devices are
-    /// visited in circuit order and stamps issued in a fixed sequence,
-    /// so dense and sparse assemblies accumulate identically.
+    /// The device walk shared by the pattern recorder and the value
+    /// stamps. Devices are visited in circuit order and stamps issued in
+    /// a fixed sequence, so every assembly accumulates identically.
     fn assemble_into<S: Stamp>(
         &self,
         x: &[f64],
@@ -453,6 +456,7 @@ impl<'c> MnaSystem<'c> {
 mod tests {
     use super::*;
     use netlist::SourceWaveform;
+    use numkit::sparse::SparseSolver;
 
     fn divider() -> Circuit {
         let mut c = Circuit::new("div");
@@ -462,6 +466,28 @@ mod tests {
         c.add_resistor("R1", a, b, 1e3);
         c.add_resistor("R2", b, Circuit::GROUND, 1e3);
         c
+    }
+
+    /// DC context with every independent source scaled by `source_scale`.
+    fn dc_ctx(source_scale: f64) -> AssembleContext<'static> {
+        AssembleContext {
+            dc_sources: true,
+            gmin: 1e-12,
+            source_scale,
+            ..Default::default()
+        }
+    }
+
+    /// Assembles `sys` about zero under `ctx` and solves once.
+    fn solve_once(sys: &MnaSystem<'_>, ctx: &AssembleContext<'_>) -> Vec<f64> {
+        let plan = sys.sparse_plan();
+        let mut values = vec![0.0; plan.pattern().nnz()];
+        let mut b = vec![0.0; sys.size()];
+        sys.assemble(&vec![0.0; sys.size()], ctx, &plan, &mut values, &mut b);
+        SparseSolver::new(plan.pattern())
+            .solve(&values, &b)
+            .unwrap()
+            .0
     }
 
     #[test]
@@ -476,23 +502,49 @@ mod tests {
     fn assemble_and_solve_divider() {
         let c = divider();
         let sys = MnaSystem::new(&c).unwrap();
-        let mut g = Matrix::zeros(sys.size(), sys.size());
-        let mut b = vec![0.0; sys.size()];
-        let x0 = vec![0.0; sys.size()];
-        let ctx = AssembleContext {
-            dc_sources: true,
-            gmin: 1e-12,
-            source_scale: 1.0,
-            ..Default::default()
-        };
-        sys.assemble(&x0, &ctx, &mut g, &mut b);
-        let x = g.solve(&b).unwrap();
+        let x = solve_once(&sys, &dc_ctx(1.0));
         let node_b = c.find_node("b").unwrap();
         assert!((sys.voltage_of(&x, node_b) - 1.0).abs() < 1e-9);
         // Supply delivers 1 mA → branch current is −1 mA by convention.
         let v1 = c.find_device("V1").unwrap();
         let br = sys.branch_index(v1).unwrap();
         assert!((x[br] + 1e-3).abs() < 1e-9);
+    }
+
+    #[test]
+    fn bound_slots_match_the_pattern_lookup() {
+        let c = divider();
+        let sys = MnaSystem::new(&c).unwrap();
+        let plan = sys.sparse_plan();
+        let n = sys.size();
+        for r in 0..n {
+            for col in 0..n {
+                let slot = plan.slots[r * n + col];
+                let entry = plan.pattern().entry(r, col);
+                assert_eq!(
+                    (slot != NO_SLOT).then_some(slot as usize),
+                    entry,
+                    "slot of ({r}, {col})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "stamp outside the recorded sparsity pattern")]
+    fn stamp_outside_the_pattern_panics() {
+        let c = divider();
+        let sys = MnaSystem::new(&c).unwrap();
+        let plan = sys.sparse_plan();
+        let mut values = vec![0.0; plan.pattern().nnz()];
+        let mut stamp = CscStamp {
+            n: sys.size(),
+            slots: &plan.slots,
+            values: &mut values,
+        };
+        // V1's branch row (unknown 2) only meets node `a`'s column, so
+        // the divider never stamps (2, 1).
+        stamp.add(2, 1, 1.0);
     }
 
     #[test]
@@ -505,16 +557,7 @@ mod tests {
         c.add_isource("I1", a, Circuit::GROUND, SourceWaveform::Dc(1e-3));
         c.add_resistor("R1", a, Circuit::GROUND, 1e3);
         let sys = MnaSystem::new(&c).unwrap();
-        let mut g = Matrix::zeros(sys.size(), sys.size());
-        let mut b = vec![0.0; sys.size()];
-        let ctx = AssembleContext {
-            dc_sources: true,
-            gmin: 1e-12,
-            source_scale: 1.0,
-            ..Default::default()
-        };
-        sys.assemble(&vec![0.0; sys.size()], &ctx, &mut g, &mut b);
-        let x = g.solve(&b).unwrap();
+        let x = solve_once(&sys, &dc_ctx(1.0));
         assert!((sys.voltage_of(&x, a) + 1.0).abs() < 1e-9);
     }
 
@@ -537,16 +580,7 @@ mod tests {
         );
         c.add_resistor("RL", out, Circuit::GROUND, 1e3);
         let sys = MnaSystem::new(&c).unwrap();
-        let mut g = Matrix::zeros(sys.size(), sys.size());
-        let mut b = vec![0.0; sys.size()];
-        let ctx = AssembleContext {
-            dc_sources: true,
-            gmin: 1e-12,
-            source_scale: 1.0,
-            ..Default::default()
-        };
-        sys.assemble(&vec![0.0; sys.size()], &ctx, &mut g, &mut b);
-        let x = g.solve(&b).unwrap();
+        let x = solve_once(&sys, &dc_ctx(1.0));
         // Current 2 mA leaves out_p → v_out = -2 V.
         assert!((sys.voltage_of(&x, out) + 2.0).abs() < 1e-9);
     }
@@ -562,16 +596,7 @@ mod tests {
         // Need a DC path at b: add big resistor.
         c.add_resistor("R2", b, Circuit::GROUND, 1e9);
         let sys = MnaSystem::new(&c).unwrap();
-        let mut g = Matrix::zeros(sys.size(), sys.size());
-        let mut rhs = vec![0.0; sys.size()];
-        let ctx = AssembleContext {
-            dc_sources: true,
-            gmin: 1e-12,
-            source_scale: 1.0,
-            ..Default::default()
-        };
-        sys.assemble(&vec![0.0; sys.size()], &ctx, &mut g, &mut rhs);
-        let x = g.solve(&rhs).unwrap();
+        let x = solve_once(&sys, &dc_ctx(1.0));
         // No DC current → vb ≈ va.
         assert!((sys.voltage_of(&x, b) - 1.0).abs() < 1e-5);
     }
@@ -580,16 +605,7 @@ mod tests {
     fn source_scale_scales_sources() {
         let c = divider();
         let sys = MnaSystem::new(&c).unwrap();
-        let mut g = Matrix::zeros(sys.size(), sys.size());
-        let mut b = vec![0.0; sys.size()];
-        let ctx = AssembleContext {
-            dc_sources: true,
-            gmin: 1e-12,
-            source_scale: 0.5,
-            ..Default::default()
-        };
-        sys.assemble(&vec![0.0; sys.size()], &ctx, &mut g, &mut b);
-        let x = g.solve(&b).unwrap();
+        let x = solve_once(&sys, &dc_ctx(0.5));
         let node_b = c.find_node("b").unwrap();
         assert!((sys.voltage_of(&x, node_b) - 0.5).abs() < 1e-9);
     }

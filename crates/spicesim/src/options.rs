@@ -12,61 +12,6 @@ pub enum IntegrationMethod {
     Trapezoidal,
 }
 
-/// Linear-solver backend for the Newton-based analyses.
-///
-/// Resolution order at workspace creation: an explicit `Dense`/`Sparse`
-/// here always wins; `Auto` consults the `HIERSIZER_SPARSE` environment
-/// override and otherwise picks dense below [`SPARSE_CROSSOVER`]
-/// unknowns and sparse at or above it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SolverChoice {
-    /// Node-count heuristic (with env override) — the default.
-    #[default]
-    Auto,
-    /// Always the dense LU path.
-    Dense,
-    /// Always the sparse analyze/factor/refactor path.
-    Sparse,
-}
-
-/// Unknown-count crossover for [`SolverChoice::Auto`]: below this the
-/// dense LU wins on constant factors, at or above it the sparse
-/// analyze-once/refactor-cheap path wins (measured in
-/// `BENCH_sparse.json`).
-pub const SPARSE_CROSSOVER: usize = 48;
-
-/// `HIERSIZER_SPARSE` override consulted by [`SolverChoice::Auto`]:
-/// `1`/`sparse`/`on` forces sparse, `0`/`dense`/`off` forces dense,
-/// anything else (or unset) leaves the node-count heuristic in charge.
-/// Explicit [`SimOptions::solver`] settings are *not* overridden — the
-/// conformance differential pairs rely on pinning each side.
-pub fn sparse_override_from_env() -> Option<SolverChoice> {
-    match std::env::var("HIERSIZER_SPARSE") {
-        Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
-            "1" | "true" | "on" | "sparse" => Some(SolverChoice::Sparse),
-            "0" | "false" | "off" | "dense" => Some(SolverChoice::Dense),
-            _ => None,
-        },
-        Err(_) => None,
-    }
-}
-
-impl SolverChoice {
-    /// Resolves the choice for an `n`-unknown system, applying the env
-    /// override and crossover when `Auto`.
-    pub fn resolve_sparse(self, n: usize) -> bool {
-        match self {
-            SolverChoice::Dense => false,
-            SolverChoice::Sparse => true,
-            SolverChoice::Auto => match sparse_override_from_env() {
-                Some(SolverChoice::Sparse) => true,
-                Some(_) => false,
-                None => n >= SPARSE_CROSSOVER,
-            },
-        }
-    }
-}
-
 /// Numerical options for the Newton-based analyses.
 ///
 /// The defaults mirror common SPICE settings scaled to this workspace's
@@ -105,8 +50,6 @@ pub struct SimOptions {
     pub max_substep_depth: usize,
     /// Integration method for transient analysis.
     pub method: IntegrationMethod,
-    /// Linear-solver backend (dense vs. sparse) for every Newton solve.
-    pub solver: SolverChoice,
 }
 
 impl Default for SimOptions {
@@ -120,7 +63,6 @@ impl Default for SimOptions {
             max_voltage_step: 0.5,
             max_substep_depth: 8,
             method: IntegrationMethod::BackwardEuler,
-            solver: SolverChoice::Auto,
         }
     }
 }
@@ -173,19 +115,6 @@ mod tests {
             ..Default::default()
         };
         assert!(o.validate().is_err());
-    }
-
-    #[test]
-    fn solver_choice_resolution() {
-        // Explicit choices ignore the crossover entirely.
-        assert!(!SolverChoice::Dense.resolve_sparse(10_000));
-        assert!(SolverChoice::Sparse.resolve_sparse(2));
-        // Auto keys off the crossover (the env override is exercised in
-        // CI's sparse matrix cell, not here — tests share a process).
-        if sparse_override_from_env().is_none() {
-            assert!(!SolverChoice::Auto.resolve_sparse(SPARSE_CROSSOVER - 1));
-            assert!(SolverChoice::Auto.resolve_sparse(SPARSE_CROSSOVER));
-        }
     }
 
     #[test]

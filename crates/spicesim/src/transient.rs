@@ -206,7 +206,7 @@ pub(crate) fn run_transient_until(
     // Newton scratch and the capacitor-companion buffer are allocated
     // once here and re-stamped in place by every Newton iteration of
     // every timestep (and sub-step) of the run.
-    let mut ws = SolveWorkspace::for_system(&sys, opts);
+    let mut ws = SolveWorkspace::for_system(&sys);
     let mut companions = vec![CapCompanion::default(); circuit.num_devices()];
 
     // Collect capacitor and MOSFET bookkeeping.
@@ -267,8 +267,12 @@ pub(crate) fn run_transient_until(
     let mut rng: Option<StdRng> = spec.noise_seed.map(dist::seeded_rng);
     let mut noise = vec![0.0; circuit.num_devices()];
 
-    // Recording buffers.
-    let est_samples = (spec.t_stop / spec.dt) as usize / spec.record_every + 2;
+    // Recording buffers: sized for the whole window, unless a stop
+    // usually ends the run far earlier — then they grow as they record.
+    let est_samples = match stop {
+        None => (spec.t_stop / spec.dt) as usize / spec.record_every + 2,
+        Some(_) => 0,
+    };
     let mut times = Vec::with_capacity(est_samples);
     let mut node_v: Vec<Vec<f64>> = (0..circuit.num_nodes())
         .map(|_| Vec::with_capacity(est_samples))
