@@ -52,16 +52,10 @@ impl LoopFilter {
     /// `dv_c1/dt = (v_c2 − v_c1)/(R1·C1)`
     /// `dv_c2/dt = (i − (v_c2 − v_c1)/R1)/C2`
     pub fn step(&mut self, i_in: f64, dt: f64) {
-        let f = |v1: f64, v2: f64| -> (f64, f64) {
-            let i_r = (v2 - v1) / self.r1;
-            (i_r / self.c1, (i_in - i_r) / self.c2)
-        };
-        let (k1a, k1b) = f(self.v_c1, self.v_c2);
-        let (k2a, k2b) = f(self.v_c1 + 0.5 * dt * k1a, self.v_c2 + 0.5 * dt * k1b);
-        let (k3a, k3b) = f(self.v_c1 + 0.5 * dt * k2a, self.v_c2 + 0.5 * dt * k2b);
-        let (k4a, k4b) = f(self.v_c1 + dt * k3a, self.v_c2 + dt * k3b);
-        self.v_c1 += dt / 6.0 * (k1a + 2.0 * k2a + 2.0 * k3a + k4a);
-        self.v_c2 += dt / 6.0 * (k1b + 2.0 * k2b + 2.0 * k3b + k4b);
+        let mut lanes = FilterLanes::new([*self]);
+        lanes.step([i_in], [dt]);
+        self.v_c1 = lanes.v_c1[0];
+        self.v_c2 = lanes.v_c2[0];
     }
 
     /// Trans-impedance `Z(s) = (1 + s·R1·C1) / (s·(C1+C2)·(1 + s·R1·Cs))`
@@ -83,6 +77,75 @@ impl LoopFilter {
     pub fn pole_freq(&self) -> f64 {
         let c_series = self.c1 * self.c2 / (self.c1 + self.c2);
         1.0 / (2.0 * std::f64::consts::PI * self.r1 * c_series)
+    }
+}
+
+/// `L` loop filters stored lane by lane and stepped side by side. Each
+/// lane runs exactly the operations [`LoopFilter::step`] runs on one
+/// filter, so its state is bit-identical to stepping it alone.
+///
+/// An RK4 step is twelve divisions. Side by side, the compiler packs the
+/// lanes' divisions into vector instructions; as scalars they would all
+/// queue on the core's one divider, which a busy sibling hardware thread
+/// shares, and the step time would swing with whatever else runs there.
+#[derive(Debug)]
+pub(crate) struct FilterLanes<const L: usize> {
+    c1: [f64; L],
+    c2: [f64; L],
+    r1: [f64; L],
+    v_c1: [f64; L],
+    /// Control voltages.
+    pub(crate) v_c2: [f64; L],
+}
+
+impl<const L: usize> FilterLanes<L> {
+    pub(crate) fn new(filters: [LoopFilter; L]) -> Self {
+        FilterLanes {
+            c1: filters.map(|f| f.c1),
+            c2: filters.map(|f| f.c2),
+            r1: filters.map(|f| f.r1),
+            v_c1: filters.map(|f| f.v_c1),
+            v_c2: filters.map(|f| f.v_c2),
+        }
+    }
+
+    /// Advances lane `l` by `dt[l]` seconds with constant input current
+    /// `i_in[l]`. Inlined so the lanes stay in registers across the
+    /// caller's substep loop.
+    #[inline(always)]
+    pub(crate) fn step(&mut self, i_in: [f64; L], dt: [f64; L]) {
+        let (c1, c2, r1) = (self.c1, self.c2, self.r1);
+        let f = |v1: &[f64; L], v2: &[f64; L]| -> ([f64; L], [f64; L]) {
+            let (mut d1, mut d2) = ([0.0; L], [0.0; L]);
+            for l in 0..L {
+                let i_r = (v2[l] - v1[l]) / r1[l];
+                d1[l] = i_r / c1[l];
+                d2[l] = (i_in[l] - i_r) / c2[l];
+            }
+            (d1, d2)
+        };
+        let (v1, v2) = (&mut self.v_c1, &mut self.v_c2);
+        let (mut a, mut b) = ([0.0; L], [0.0; L]);
+        let (k1a, k1b) = f(v1, v2);
+        for l in 0..L {
+            a[l] = v1[l] + 0.5 * dt[l] * k1a[l];
+            b[l] = v2[l] + 0.5 * dt[l] * k1b[l];
+        }
+        let (k2a, k2b) = f(&a, &b);
+        for l in 0..L {
+            a[l] = v1[l] + 0.5 * dt[l] * k2a[l];
+            b[l] = v2[l] + 0.5 * dt[l] * k2b[l];
+        }
+        let (k3a, k3b) = f(&a, &b);
+        for l in 0..L {
+            a[l] = v1[l] + dt[l] * k3a[l];
+            b[l] = v2[l] + dt[l] * k3b[l];
+        }
+        let (k4a, k4b) = f(&a, &b);
+        for l in 0..L {
+            v1[l] += dt[l] / 6.0 * (k1a[l] + 2.0 * k2a[l] + 2.0 * k3a[l] + k4a[l]);
+            v2[l] += dt[l] / 6.0 * (k1b[l] + 2.0 * k2b[l] + 2.0 * k3b[l] + k4b[l]);
+        }
     }
 }
 
@@ -144,6 +207,51 @@ mod tests {
             (diff - (-1.0f64).exp()).abs() < 0.02,
             "difference after one tau: {diff}"
         );
+    }
+
+    /// The scalar RK4 step as plain expressions: the reference the lanes
+    /// must reproduce bit for bit.
+    fn scalar_step(f: &mut LoopFilter, i_in: f64, dt: f64) {
+        let d = |v1: f64, v2: f64| -> (f64, f64) {
+            let i_r = (v2 - v1) / f.r1;
+            (i_r / f.c1, (i_in - i_r) / f.c2)
+        };
+        let (k1a, k1b) = d(f.v_c1, f.v_c2);
+        let (k2a, k2b) = d(f.v_c1 + 0.5 * dt * k1a, f.v_c2 + 0.5 * dt * k1b);
+        let (k3a, k3b) = d(f.v_c1 + 0.5 * dt * k2a, f.v_c2 + 0.5 * dt * k2b);
+        let (k4a, k4b) = d(f.v_c1 + dt * k3a, f.v_c2 + dt * k3b);
+        f.v_c1 += dt / 6.0 * (k1a + 2.0 * k2a + 2.0 * k3a + k4a);
+        f.v_c2 += dt / 6.0 * (k1b + 2.0 * k2b + 2.0 * k3b + k4b);
+    }
+
+    #[test]
+    fn lanes_match_the_scalar_step_bit_for_bit() {
+        let start = [
+            LoopFilter::new(50e-12, 5e-12, 30e3, 0.6),
+            LoopFilter::new(12e-12, 1.5e-12, 7e3, 0.6),
+            LoopFilter::new(33e-12, 4e-12, 2e3, 0.1),
+        ];
+        let mut lanes = FilterLanes::new(start);
+        let (mut alone, mut reference) = (start, start);
+        for n in 0..2_000 {
+            // Pump pulses of both signs and idle steps, different per lane.
+            let i_in: [f64; 3] = std::array::from_fn(|l| match (n + l) % 5 {
+                0 => 50e-6,
+                1 => -37e-6 * (l + 1) as f64,
+                _ => 0.0,
+            });
+            let dt = [1.25e-9, 2.5e-9, 0.8e-9];
+            lanes.step(i_in, dt);
+            for l in 0..3 {
+                alone[l].step(i_in[l], dt[l]);
+                scalar_step(&mut reference[l], i_in[l], dt[l]);
+            }
+        }
+        for l in 0..3 {
+            let want = [reference[l].v_c1, reference[l].v_c2].map(f64::to_bits);
+            assert_eq!([lanes.v_c1[l], lanes.v_c2[l]].map(f64::to_bits), want);
+            assert_eq!([alone[l].v_c1, alone[l].v_c2].map(f64::to_bits), want);
+        }
     }
 
     #[test]

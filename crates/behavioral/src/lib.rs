@@ -10,7 +10,8 @@
 //!   optimiser manipulates (Kvco, Ivco, C1, C2, R1, …);
 //! * [`timesim`] — a phase-domain, reference-cycle-stepped time
 //!   simulation producing the lock transient (Fig 8), lock time and
-//!   control-voltage waveform;
+//!   control-voltage waveform, and the lock times alone of several
+//!   loops stepped in lockstep;
 //! * [`linear`] — s-domain loop analysis: natural frequency, damping,
 //!   bandwidth, phase margin, analytic lock-time estimate;
 //! * [`jitter`] — output jitter accumulation per Kundert's model (the

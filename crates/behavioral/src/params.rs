@@ -1,5 +1,7 @@
 //! The PLL parameter bundle the system-level optimiser manipulates.
 
+use std::cmp::Ordering;
+
 use serde::{Deserialize, Serialize};
 
 /// Additional supply current of the non-VCO PLL blocks (PFD, charge
@@ -82,30 +84,32 @@ impl PllParams {
     ///
     /// Returns a message describing the first non-physical parameter.
     pub fn validate(&self) -> Result<(), String> {
-        if self.fref <= 0.0 {
+        // Every check is written so that NaN fails it: `partial_cmp`
+        // and `contains` reject NaN, whereas an operator test like
+        // `fref <= 0.0` would silently accept it.
+        let positive = |v: f64| v.partial_cmp(&0.0) == Some(Ordering::Greater);
+        let non_negative = |v: f64| v.partial_cmp(&0.0).is_some_and(Ordering::is_ge);
+        if !positive(self.fref) {
             return Err(format!("fref {} must be positive", self.fref));
         }
         if self.divider == 0 {
             return Err("divider must be at least 1".to_string());
         }
-        if self.icp <= 0.0 || self.c1 <= 0.0 || self.c2 <= 0.0 || self.r1 <= 0.0 {
+        if !(positive(self.icp) && positive(self.c1) && positive(self.c2) && positive(self.r1)) {
             return Err("charge pump and loop filter values must be positive".to_string());
         }
-        if self.kvco <= 0.0 {
+        if !positive(self.kvco) {
             return Err(format!("kvco {} must be positive", self.kvco));
         }
-        // `partial_cmp` keeps a NaN bound invalid (an operator rewrite
-        // like `fmin >= fmax` would silently accept it).
-        if self.fmin.partial_cmp(&self.fmax) != Some(std::cmp::Ordering::Less)
-            || self.f0 < self.fmin
-            || self.f0 > self.fmax
+        if self.fmin.partial_cmp(&self.fmax) != Some(Ordering::Less)
+            || !(self.fmin..=self.fmax).contains(&self.f0)
         {
             return Err(format!(
                 "vco range invalid: fmin={} f0={} fmax={}",
                 self.fmin, self.f0, self.fmax
             ));
         }
-        if self.ivco < 0.0 || self.jvco < 0.0 {
+        if !(non_negative(self.ivco) && non_negative(self.jvco)) {
             return Err("ivco and jvco must be non-negative".to_string());
         }
         Ok(())

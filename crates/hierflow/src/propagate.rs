@@ -4,7 +4,7 @@
 use behavioral::jitter::pll_jitter_sum;
 use behavioral::params::{PllParams, PLL_FIXED_CURRENT};
 use behavioral::spec::{PllPerformance, PllSpec};
-use behavioral::timesim::{simulate_lock, LockSimConfig};
+use behavioral::timesim::{lock_times, LockSimConfig};
 use moea::problem::Individual;
 use netlist::topology::VcoSizing;
 
@@ -178,8 +178,8 @@ pub fn select_verified_design(
             ivco: actual.ivco,
             jvco: actual.jvco,
         };
-        let lock_time = match simulate_lock(&params, sim_cfg) {
-            Ok(r) => r.lock_time.unwrap_or(f64::INFINITY),
+        let lock_time = match lock_times(&[params], sim_cfg) {
+            Ok([t]) => t.unwrap_or(f64::INFINITY),
             Err(_) => f64::INFINITY,
         };
         let perf = PllPerformance {

@@ -8,7 +8,7 @@ use behavioral::jitter::jitter_summary;
 use behavioral::linear::LoopAnalysis;
 use behavioral::params::{PllParams, PLL_FIXED_CURRENT};
 use behavioral::spec::PllSpec;
-use behavioral::timesim::{simulate_lock, LockSimConfig};
+use behavioral::timesim::{lock_times, LockSimConfig};
 use moea::problem::{Evaluation, Problem};
 use serde::{Deserialize, Serialize};
 
@@ -204,28 +204,24 @@ impl PllSystemProblem {
             self.arch.divider,
         );
 
-        // Lock transient at the three gain corners.
-        let mut lock_times = [f64::INFINITY; 3];
-        for (slot, (k, i, j)) in [
+        // Lock transient at the three gain corners, stepped together.
+        let corners = [
             (q.kvco, q.ivco, q.jvco),
             (q.kvco_min, q.ivco_min, q.jvco_max),
             (q.kvco_max, q.ivco_max, q.jvco_min),
         ]
-        .iter()
-        .enumerate()
-        {
-            let mut p = self.params_for(&q, *k, *i, *j);
-            p.c1 = c1;
-            p.c2 = c2;
-            p.r1 = r1;
-            let result = simulate_lock(&p, &self.sim_cfg)?;
-            lock_times[slot] = result.lock_time.unwrap_or(f64::INFINITY);
-        }
+        .map(|(k, i, j)| PllParams {
+            c1,
+            c2,
+            r1,
+            ..self.params_for(&q, k, i, j)
+        });
+        let locks = lock_times(&corners, &self.sim_cfg)?.map(|t| t.unwrap_or(f64::INFINITY));
 
         let current = q.ivco + PLL_FIXED_CURRENT;
         let current_min = q.ivco_min + PLL_FIXED_CURRENT;
         let current_max = q.ivco_max + PLL_FIXED_CURRENT;
-        let lock_worst = lock_times.iter().copied().fold(0.0f64, f64::max);
+        let lock_worst = locks.iter().copied().fold(0.0f64, f64::max);
 
         let meets_spec = q.fmin_worst <= self.spec.f_out_min
             && q.fmax_worst >= self.spec.f_out_max
@@ -242,7 +238,7 @@ impl PllSystemProblem {
             c1,
             c2,
             r1,
-            lock_time: lock_times[0],
+            lock_time: locks[0],
             lock_time_worst: lock_worst,
             jitter: jit.nominal,
             jitter_min: jit.min,
@@ -376,6 +372,52 @@ mod tests {
         assert!(sol.lock_time.is_finite(), "this loop locks");
         // Jitter sums in the paper's ps window.
         assert!((1e-12..2e-11).contains(&sol.jitter));
+    }
+
+    /// The three corners are stepped together; each lane must still
+    /// land in its own slot with the lone simulation's bits.
+    #[test]
+    fn detail_lock_times_match_per_corner_simulations() {
+        use behavioral::timesim::simulate_lock;
+        let p = problem();
+        let (mut locked, mut unlocked) = (0, 0);
+        for t in [0.1, 0.5, 0.9] {
+            let (kvco, ivco) = (0.8e9 + 1.6e9 * t, 1.5e-3 + 3.0e-3 * t);
+            for (c1, c2, r1) in [
+                (10e-12, 2e-12, 8e3),
+                (30e-12, 3e-12, 4e3),
+                (5e-12, 5e-12, 1e3),
+            ] {
+                let sol = p.detail(&[kvco, ivco, c1, c2, r1]).unwrap();
+                let q = p.model.query_risk(kvco, ivco, p.risk).unwrap();
+                let lock = |k, i, j| {
+                    let params = PllParams {
+                        c1,
+                        c2,
+                        r1,
+                        ..p.params_for(&q, k, i, j)
+                    };
+                    let t = simulate_lock(&params, &p.sim_cfg).unwrap().lock_time;
+                    t.unwrap_or(f64::INFINITY)
+                };
+                let nominal = lock(q.kvco, q.ivco, q.jvco);
+                let low = lock(q.kvco_min, q.ivco_min, q.jvco_max);
+                let high = lock(q.kvco_max, q.ivco_max, q.jvco_min);
+                let worst = nominal.max(low).max(high);
+                assert_eq!(sol.lock_time.to_bits(), nominal.to_bits());
+                assert_eq!(sol.lock_time_worst.to_bits(), worst.to_bits());
+                if nominal.is_finite() {
+                    locked += 1;
+                }
+                if worst.is_infinite() {
+                    unlocked += 1;
+                }
+            }
+        }
+        assert!(
+            locked > 0 && unlocked > 0,
+            "{locked} locked, {unlocked} unlocked"
+        );
     }
 
     /// The risk knob is conservative: CVaR corners contain the nominal

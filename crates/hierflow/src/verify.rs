@@ -5,7 +5,7 @@
 use behavioral::jitter::pll_jitter_sum;
 use behavioral::params::{PllParams, PLL_FIXED_CURRENT};
 use behavioral::spec::{PllPerformance, PllSpec};
-use behavioral::timesim::{simulate_lock, LockSimConfig};
+use behavioral::timesim::{lock_times, LockSimConfig};
 use netlist::topology::VcoSizing;
 use numkit::stats::wilson_interval;
 use serde::{Deserialize, Serialize};
@@ -89,8 +89,8 @@ pub fn verify_design(
             ivco: perf.ivco,
             jvco: perf.jvco,
         };
-        let lock_time = match simulate_lock(&params, sim_cfg) {
-            Ok(r) => r.lock_time.unwrap_or(f64::INFINITY),
+        let lock_time = match lock_times(&[params], sim_cfg) {
+            Ok([t]) => t.unwrap_or(f64::INFINITY),
             Err(_) => f64::INFINITY,
         };
         let pll_perf = PllPerformance {

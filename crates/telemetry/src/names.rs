@@ -94,6 +94,13 @@ pub const SIM_SUBSTEP_DEPTH: &str = "sim.substep_depth";
 /// Transient steps that hit the halving depth limit.
 pub const SIM_STEP_LIMIT: &str = "sim.step_limit";
 
+// --- behavioral --------------------------------------------------------
+
+/// PLL loops put through a lock simulation.
+pub const PLL_LOOPS: &str = "pll.loops";
+/// Reference cycles stepped by lock simulations, summed over loops.
+pub const PLL_REF_CYCLES: &str = "pll.ref_cycles";
+
 // --- hierflow ----------------------------------------------------------
 
 /// Characterisation retries after transient faults.
@@ -229,6 +236,8 @@ pub const ALL: &[(&str, Kind)] = &[
     (SIM_NEWTON_NONCONVERGENCE, Kind::Counter),
     (SIM_SUBSTEP_DEPTH, Kind::Histogram),
     (SIM_STEP_LIMIT, Kind::Counter),
+    (PLL_LOOPS, Kind::Counter),
+    (PLL_REF_CYCLES, Kind::Counter),
     (FLOW_RETRY_ATTEMPTS, Kind::Counter),
     (DAEMON_RECOVERED_JOBS, Kind::Counter),
     (DAEMON_DEDUPED, Kind::Counter),

@@ -240,6 +240,31 @@ proptest! {
         prop_assert_eq!(edges.len(), cycles);
         prop_assert!(edges[0] > 0.0);
     }
+
+    /// Loops stepped in lockstep keep the bits of lone simulations: the
+    /// three gain corners of one loop filter, over the system
+    /// optimiser's filter ranges and a gain spread around a reachable
+    /// target.
+    #[test]
+    fn lockstep_lock_times_match_lone_simulations(
+        c1 in 5e-12f64..50e-12,
+        c2 in 0.5e-12f64..5e-12,
+        r1 in 1e3f64..10e3,
+        kvco in 0.8e9f64..2.4e9,
+        spread in 0.0f64..0.4,
+    ) {
+        use behavioral::params::PllParams;
+        use behavioral::timesim::{lock_times, simulate_lock, LockSimConfig};
+        let cfg = LockSimConfig::default();
+        let base = PllParams { c1, c2, r1, kvco, ..PllParams::nominal() };
+        let corners = [kvco, kvco * (1.0 - spread), kvco * (1.0 + spread)]
+            .map(|kvco| PllParams { kvco, ..base });
+        let lanes = lock_times(&corners, &cfg).expect("every corner reaches the target");
+        for (t, p) in lanes.iter().zip(&corners) {
+            let lone = simulate_lock(p, &cfg).expect("reachable").lock_time;
+            prop_assert_eq!(t.map(f64::to_bits), lone.map(f64::to_bits));
+        }
+    }
 }
 
 #[test]
