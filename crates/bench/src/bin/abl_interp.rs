@@ -7,13 +7,13 @@
 //! cargo run --release -p bench --bin abl_interp [-- --full]
 //! ```
 
-use bench::{load_or_build_front, Budget};
+use bench::Budget;
 use tablemodel::interp::Table1d;
 use tablemodel::scattered::{ScatterMethod, ScatteredTable};
 
 fn main() {
     let budget = Budget::from_args();
-    let front = load_or_build_front(budget);
+    let front = budget.front();
     let mut points: Vec<_> = front.points.clone();
     points.sort_by(|a, b| a.perf.kvco.partial_cmp(&b.perf.kvco).unwrap());
     let n = points.len();

@@ -12,15 +12,16 @@ use std::sync::Arc;
 
 use behavioral::spec::PllSpec;
 use behavioral::timesim::LockSimConfig;
-use bench::{load_or_build_front, Budget};
+use bench::Budget;
+use exec::ExecPolicy;
 use hierflow::charmodel::CharacterizedFront;
 use hierflow::model::PerfVariationModel;
 use hierflow::system_opt::{PllArchitecture, PllSystemProblem};
-use moea::nsga2::{run_nsga2_seeded, Nsga2Config};
+use moea::nsga2::{run_nsga2_cached, Nsga2Config};
 
 fn main() {
     let budget = Budget::from_args();
-    let front = load_or_build_front(budget);
+    let front = budget.front();
 
     // Variation-aware model (the paper's proposal).
     let with_var = Arc::new(PerfVariationModel::from_front(&front).expect("model"));
@@ -57,7 +58,14 @@ fn main() {
     ] {
         let problem =
             PllSystemProblem::new(Arc::clone(&model), arch, spec, LockSimConfig::default());
-        let result = run_nsga2_seeded(&problem, &ga, &problem.warm_start_seeds());
+        let result = run_nsga2_cached(
+            &problem,
+            &ga,
+            &problem.warm_start_seeds(),
+            &ExecPolicy::default(),
+            None,
+        )
+        .expect("an unsupervised run has no cancellation or deadline to abort it");
         let pareto = result.pareto_front();
 
         // Judge each front under the TRUE (variation-aware) corners.

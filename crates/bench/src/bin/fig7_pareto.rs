@@ -9,11 +9,11 @@
 //! the 3-D view. The paper's axes: jitter 0.1–0.35 ps, current
 //! 2.5–15 mA, gain up to ~3 GHz/V.
 
-use bench::{load_or_build_front, Budget};
+use bench::Budget;
 
 fn main() {
     let budget = Budget::from_args();
-    let front = load_or_build_front(budget);
+    let front = budget.front();
 
     println!(
         "# FIG7: vco pareto front ({} budget), {} points",

@@ -1,49 +1,21 @@
 //! FIG8 — regenerates the paper's Figure 8: the PLL locking-time
 //! transient (control voltage and output frequency vs time) for the
-//! selected design. Reads the design cached by `table2_system`, or
-//! falls back to a representative design from the characterised front.
+//! design the flow selected.
 //!
 //! ```text
 //! cargo run --release -p bench --bin fig8_locktime [-- --full]
 //! ```
 
-use std::sync::Arc;
-
-use behavioral::spec::PllSpec;
 use behavioral::timesim::{simulate_lock, LockSimConfig};
-use bench::{artifact_dir, load_or_build_front, Budget};
+use bench::Budget;
 use hierflow::model::PerfVariationModel;
-use hierflow::system_opt::{PllArchitecture, PllSystemProblem};
 
 fn main() {
     let budget = Budget::from_args();
-    let front = load_or_build_front(budget);
-    let model = Arc::new(PerfVariationModel::from_front(&front).expect("model builds"));
-    let arch = PllArchitecture::default();
-    let problem = PllSystemProblem::new(
-        Arc::clone(&model),
-        arch,
-        PllSpec::default(),
-        LockSimConfig::default(),
-    );
-
-    // Preferred: the design selected by table2_system.
-    let selected_path = artifact_dir().join(format!("selected_{}.json", budget.label()));
-    let x: Vec<f64> = std::fs::read_to_string(&selected_path)
-        .ok()
-        .and_then(|text| serde_json::from_str::<serde_json::Value>(&text).ok())
-        .and_then(|v| serde_json::from_value(v["x"].clone()).ok())
-        .unwrap_or_else(|| {
-            eprintln!("no cached selected design; using a mid-front point");
-            let dom = model.design_domain();
-            vec![
-                0.5 * (dom[0].0 + dom[0].1),
-                0.5 * (dom[1].0 + dom[1].1),
-                30e-12,
-                3e-12,
-                4e3,
-            ]
-        });
+    let report = budget.report();
+    let model = PerfVariationModel::from_front(&report.front).expect("model builds");
+    let arch = budget.config().arch;
+    let x = &report.selected_x;
 
     let q = model.query(x[0], x[1]).expect("design inside model domain");
     let params = behavioral::params::PllParams {
@@ -95,12 +67,9 @@ fn main() {
         );
     }
 
-    let check = problem.detail(&x);
-    if let Ok(sol) = check {
-        println!(
-            "# corner lock times: nominal {:.3} us, worst {:.3} us",
-            sol.lock_time * 1e6,
-            sol.lock_time_worst * 1e6
-        );
-    }
+    println!(
+        "# corner lock times: nominal {:.3} us, worst {:.3} us",
+        report.selected.lock_time * 1e6,
+        report.selected.lock_time_worst * 1e6
+    );
 }

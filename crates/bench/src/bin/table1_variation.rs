@@ -6,17 +6,17 @@
 //! cargo run --release -p bench --bin table1_variation [-- --full]
 //! ```
 
-use bench::{load_or_build_front, Budget};
+use bench::Budget;
 use hierflow::report::format_table1;
 
 fn main() {
     let budget = Budget::from_args();
-    let front = load_or_build_front(budget);
+    let front = budget.front();
 
     println!(
         "# TAB1: performance and variation values ({} budget, {} MC samples/point)\n",
         budget.label(),
-        budget.char_mc().samples
+        budget.config().char_mc.samples
     );
     println!("{}", format_table1(&front));
 

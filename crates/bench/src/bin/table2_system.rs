@@ -1,83 +1,26 @@
 //! TAB2 — regenerates the paper's Table 2: PLL system-level solution
 //! samples from NSGA-II over (Kvco, Ivco, C1, C2, R1) with the VCO
 //! performance + variation model in the loop. Every performance carries
-//! nominal/min/max values propagated through the variation model.
+//! nominal/min/max values propagated through the variation model. The
+//! shaded row is the design the flow selected and verified.
 //!
 //! ```text
 //! cargo run --release -p bench --bin table2_system [-- --full]
 //! ```
 
-use std::sync::Arc;
-
-use behavioral::spec::PllSpec;
-use behavioral::timesim::LockSimConfig;
-use bench::{artifact_dir, load_or_build_front, Budget};
-use hierflow::model::PerfVariationModel;
-use hierflow::propagate::select_design;
+use bench::Budget;
 use hierflow::report::format_table2;
-use hierflow::system_opt::{PllArchitecture, PllSystemProblem};
-use moea::nsga2::{run_nsga2_seeded, Nsga2Config};
 
 fn main() {
     let budget = Budget::from_args();
-    let front = load_or_build_front(budget);
-    let model = Arc::new(PerfVariationModel::from_front(&front).expect("model builds"));
-
-    let ga = match budget {
-        Budget::Quick => Nsga2Config {
-            population: 48,
-            generations: 24,
-            seed: 7,
-            eval_threads: 2,
-            axial_seeds: true,
-            ..Default::default()
-        },
-        Budget::Full => Nsga2Config {
-            population: 64,
-            generations: 40,
-            seed: 7,
-            eval_threads: 2,
-            axial_seeds: true,
-            ..Default::default()
-        },
-    };
-    let problem = PllSystemProblem::new(
-        Arc::clone(&model),
-        PllArchitecture::default(),
-        PllSpec::default(),
-        LockSimConfig::default(),
-    );
-    eprintln!(
-        "system-level NSGA-II {}x{} with the model in the loop...",
-        ga.population, ga.generations
-    );
-    let result = run_nsga2_seeded(&problem, &ga, &problem.warm_start_seeds());
-    let pareto = result.pareto_front();
-    let rows: Vec<_> = pareto
-        .iter()
-        .filter_map(|ind| problem.detail(&ind.x).ok())
-        .collect();
+    let report = budget.report();
 
     println!(
         "# TAB2: pll system-level solution samples ({} budget, {} model evaluations)\n",
         budget.label(),
-        result.evaluations
+        report.system_evaluations
     );
-    println!("{}", format_table2(&rows));
-
-    match select_design(&problem, &pareto) {
-        Ok((x, selected)) => {
-            println!("# selected design (paper's shaded row):\n");
-            println!("{}", format_table2(&[selected]));
-            let path = artifact_dir().join(format!("selected_{}.json", budget.label()));
-            let payload = serde_json::json!({
-                "x": x,
-                "solution": selected,
-            });
-            std::fs::write(&path, serde_json::to_string_pretty(&payload).unwrap())
-                .expect("write selected design");
-            println!("# selected design cached to {}", path.display());
-        }
-        Err(e) => println!("# no spec-compliant solution at this budget: {e}"),
-    }
+    println!("{}", format_table2(&report.system_front));
+    println!("# selected design (paper's shaded row):\n");
+    println!("{}", format_table2(&[report.selected]));
 }

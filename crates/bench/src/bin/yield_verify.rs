@@ -1,82 +1,45 @@
-//! YIELD — regenerates the paper's §4.5 verification: select the design
-//! solution (with verification-in-the-loop, Fig 3), then run the
-//! Monte-Carlo on the final transistor-level sizing (paper: 500 samples,
-//! 100 % yield).
+//! YIELD — regenerates the paper's §4.5 verification: the design the
+//! flow selected with verification-in-the-loop (Fig 3), and the
+//! Monte-Carlo verification of its final transistor-level sizing
+//! (paper: 500 samples, 100 % yield).
 //!
 //! ```text
 //! cargo run --release -p bench --bin yield_verify [-- --full]
 //! ```
 
-use std::sync::Arc;
-
-use behavioral::spec::PllSpec;
-use behavioral::timesim::LockSimConfig;
-use bench::{load_or_build_front, Budget};
-use hierflow::model::PerfVariationModel;
-use hierflow::propagate::select_verified_design;
-use hierflow::system_opt::{PllArchitecture, PllSystemProblem};
-use hierflow::verify::verify_design;
-use hierflow::VcoTestbench;
-use moea::nsga2::{run_nsga2_seeded, Nsga2Config};
-use variation::mc::MonteCarlo;
-use variation::process::ProcessSpec;
+use bench::Budget;
+use hierflow::FlowStage;
 
 fn main() {
     let budget = Budget::from_args();
-    let front = load_or_build_front(budget);
-    let model = Arc::new(PerfVariationModel::from_front(&front).expect("model builds"));
-    let arch = PllArchitecture::default();
-    let spec = PllSpec::default();
-    let sim_cfg = LockSimConfig::default();
-    let testbench = VcoTestbench::default();
+    let report = budget.report();
+    let selected = &report.selected;
+    let s = &report.final_sizing;
+    // The in-loop check's measurement of the sizing, repeated: the
+    // evaluation is deterministic.
+    let actual = budget
+        .config()
+        .testbench
+        .evaluate_sizing(s)
+        .expect("the verified sizing evaluates");
 
-    // System-level optimisation (model-based, fast).
-    let problem = PllSystemProblem::new(Arc::clone(&model), arch, spec, sim_cfg);
-    let ga = Nsga2Config {
-        population: 48,
-        generations: 24,
-        seed: 7,
-        eval_threads: 2,
-        axial_seeds: true,
-        ..Default::default()
-    };
-    eprintln!(
-        "system-level optimisation ({}x{})...",
-        ga.population, ga.generations
-    );
-    let result = run_nsga2_seeded(&problem, &ga, &problem.warm_start_seeds());
-    let pareto = result.pareto_front();
-
-    // Spec propagation with verification-in-the-loop.
-    eprintln!("selecting a design (verification-in-the-loop)...");
-    let picked = match select_verified_design(
-        &problem, &pareto, &model, &testbench, &arch, &spec, &sim_cfg, 12,
-    ) {
-        Ok(p) => p,
-        Err(e) => {
-            println!("# YIELD: no verified design at this budget: {e}");
-            std::process::exit(1);
-        }
-    };
-
-    let s = &picked.sizing;
     println!(
         "# YIELD: bottom-up verification ({} budget)",
         budget.label()
     );
     println!(
         "# selected (model): kvco={:.0} MHz/V ivco={:.2} mA — {} candidate(s) rejected in-loop",
-        picked.solution.kvco / 1e6,
-        picked.solution.ivco * 1e3,
-        picked.rejected
+        selected.kvco / 1e6,
+        selected.ivco * 1e3,
+        report.events.skipped_points(FlowStage::Verify).len()
     );
     println!(
         "# actual transistor-level: kvco={:.0} MHz/V ivco={:.2} mA jvco={:.3} ps fmin={:.3} GHz fmax={:.3} GHz",
-        picked.actual.kvco / 1e6,
-        picked.actual.ivco * 1e3,
-        picked.actual.jvco * 1e12,
-        picked.actual.fmin / 1e9,
-        picked.actual.fmax / 1e9
+        actual.kvco / 1e6,
+        actual.ivco * 1e3,
+        actual.jvco * 1e12,
+        actual.fmin / 1e9,
+        actual.fmax / 1e9
     );
     println!(
         "# propagated sizing: wn={:.1}u wp={:.1}u wsn={:.1}u wsp={:.1}u l_inv={:.0}n l_starve={:.0}n w_bias={:.1}u",
@@ -89,35 +52,18 @@ fn main() {
         s.w_bias * 1e6
     );
 
-    let engine = MonteCarlo::new(ProcessSpec::default());
-    let mc = budget.verify_mc();
-    eprintln!(
-        "running {}-sample transistor-level monte carlo...",
-        mc.samples
-    );
-    let report = verify_design(
-        &picked.sizing,
-        (picked.solution.c1, picked.solution.c2, picked.solution.r1),
-        &testbench,
-        &arch,
-        &spec,
-        &engine,
-        &mc,
-        &sim_cfg,
-    )
-    .expect("verification runs");
-
+    let v = &report.verification;
     println!(
         "# verified yield: {:.1}% ({}/{}, 95% CI [{:.1}%, {:.1}%])",
-        100.0 * report.yield_value,
-        report.passed,
-        report.total,
-        100.0 * report.yield_ci.0,
-        100.0 * report.yield_ci.1
+        100.0 * v.yield_value,
+        v.passed,
+        v.total,
+        100.0 * v.yield_ci.0,
+        100.0 * v.yield_ci.1
     );
     println!(
         "# evaluation failures (stopped oscillating): {}",
-        report.evaluation_failures
+        v.evaluation_failures
     );
     println!("# paper: 500-sample MC on the final design confirmed 100% yield");
 }

@@ -1,25 +1,28 @@
-//! Shared plumbing for the experiment harnesses: budget selection
-//! (`--full` = paper scale), artifact caching under `target/experiments/`
-//! so the expensive circuit-level stages are computed once and reused by
-//! every table/figure binary.
+//! Shared plumbing for the experiment harnesses. Every table and figure
+//! binary is a view over one checkpointed run of the hierarchical flow:
+//! [`Budget`] names the flow preset (`--full` = paper scale), and the
+//! run lives in `target/experiments/<budget>/`, so the first binary runs
+//! the flow and every later one loads its stage checkpoints.
 
 use std::path::PathBuf;
 
-use hierflow::charmodel::{characterize_front_with, CharacterizedFront};
-use hierflow::vco_problem::VcoSizingProblem;
-use hierflow::{DegradePolicy, FlowEvents, VcoTestbench};
-use moea::nsga2::{run_nsga2, Nsga2Config};
-use variation::mc::{McConfig, MonteCarlo};
-use variation::process::ProcessSpec;
+use hierflow::charmodel::CharacterizedFront;
+use hierflow::checkpoint::{RunDir, STAGE2_CHARACTERIZED};
+use hierflow::{FlowConfig, FlowError, FlowReport, HierarchicalFlow};
 
-/// Experiment budget, selected by the `--full` CLI flag.
+/// Experiment budget, selected by the `--full` CLI flag: a name for one
+/// of the flow's presets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Budget {
-    /// Scaled-down budgets that finish in minutes on a laptop.
+    /// [`FlowConfig::quick`]: 32 × 10 circuit GA, 12-sample
+    /// characterisation of at most 10 points, 48 × 24 system GA and
+    /// 40-sample verification. The first binary runs the flow in about
+    /// 7 s on 2 vCPUs.
     Quick,
-    /// The paper's budgets (§4.2–4.5): 100×30 GA, 100-sample MC,
-    /// 500-sample verification. `yield_verify --full` builds its front
-    /// from scratch and verifies it in about 85 s on 2 vCPUs.
+    /// [`FlowConfig::paper_scale`], the paper's budgets (§4.2–4.5):
+    /// 100 × 30 circuit GA, 100-sample characterisation of at most 24
+    /// points, 64 × 40 system GA and 500-sample verification. The first
+    /// binary runs the flow in about 73 s on 2 vCPUs.
     Full,
 }
 
@@ -33,7 +36,7 @@ impl Budget {
         }
     }
 
-    /// Label used in artifact file names and printouts.
+    /// Label used in the run directory name and printouts.
     pub fn label(self) -> &'static str {
         match self {
             Budget::Quick => "quick",
@@ -41,139 +44,84 @@ impl Budget {
         }
     }
 
-    /// Circuit-level GA budget.
-    pub fn circuit_ga(self) -> Nsga2Config {
+    /// The flow configuration this budget names.
+    pub fn config(self) -> FlowConfig {
         match self {
-            Budget::Quick => Nsga2Config {
-                population: 40,
-                generations: 12,
-                seed: 2009,
-                eval_threads: 2,
-                axial_seeds: true,
-                ..Default::default()
-            },
-            Budget::Full => Nsga2Config {
-                population: 100,
-                generations: 30,
-                seed: 2009,
-                eval_threads: 2,
-                axial_seeds: true,
-                ..Default::default()
-            },
+            Budget::Quick => FlowConfig::quick(),
+            Budget::Full => FlowConfig::paper_scale(),
         }
     }
 
-    /// Characterisation Monte-Carlo budget (paper: 100).
-    pub fn char_mc(self) -> McConfig {
-        McConfig {
-            samples: match self {
-                Budget::Quick => 24,
-                Budget::Full => 100,
-            },
-            seed: 42,
-            threads: 2,
-            sampler: variation::sampler::SamplerKind::PlainMc,
-        }
+    fn run_dir(self) -> PathBuf {
+        artifact_dir().join(self.label())
     }
 
-    /// Verification Monte-Carlo budget (paper: 500).
-    pub fn verify_mc(self) -> McConfig {
-        McConfig {
-            samples: match self {
-                Budget::Quick => 60,
-                Budget::Full => 500,
-            },
-            seed: 99,
-            threads: 2,
-            sampler: variation::sampler::SamplerKind::PlainMc,
-        }
+    /// Runs the flow at this budget with checkpoints in
+    /// `target/experiments/<budget>/`: stages whose artifacts are
+    /// already there are loaded, not recomputed. The directory refuses
+    /// artifacts from another configuration but cannot detect a code
+    /// change, so regenerate a record from an empty directory.
+    fn run(self) -> Result<FlowReport, FlowError> {
+        let dir = self.run_dir();
+        eprintln!(
+            "{} flow in {} (checkpointed stages are loaded)...",
+            self.label(),
+            dir.display()
+        );
+        HierarchicalFlow::new(self.config()).run_with_checkpoints(dir)
     }
 
-    /// Cap on characterised Pareto points.
-    pub fn max_char_points(self) -> usize {
-        match self {
-            Budget::Quick => 12,
-            Budget::Full => 24,
+    /// The completed flow run at this budget. Prints the failure and
+    /// exits with status 1 when a stage fails.
+    pub fn report(self) -> FlowReport {
+        self.run().unwrap_or_else(|e| {
+            println!("# the {} flow failed: {e}", self.label());
+            std::process::exit(1)
+        })
+    }
+
+    /// The characterised front of the run at this budget. When stage 3,
+    /// 4 or 5 fails, the front is read from the run's stage-2
+    /// checkpoint, so the binaries that need only the front still
+    /// print. Exits with status 1 when there is no front.
+    pub fn front(self) -> CharacterizedFront {
+        let err = match self.run() {
+            Ok(report) => return report.front,
+            Err(e) => e,
+        };
+        // A checkpoint error can mean the directory belongs to another
+        // configuration, whose front is not this budget's.
+        let stage2 = match &err {
+            FlowError::Checkpoint { .. } => None,
+            _ => RunDir::create(self.run_dir())
+                .and_then(|dir| dir.load::<CharacterizedFront>(STAGE2_CHARACTERIZED))
+                .ok()
+                .flatten(),
+        };
+        match stage2 {
+            Some(front) => {
+                eprintln!(
+                    "the {} flow failed: {err}; its stage-2 front is used",
+                    self.label()
+                );
+                front
+            }
+            None => {
+                eprintln!(
+                    "the {} flow has no characterised front: {err}",
+                    self.label()
+                );
+                std::process::exit(1)
+            }
         }
     }
 }
 
-/// Directory for cached experiment artifacts.
-pub fn artifact_dir() -> PathBuf {
+/// Directory holding one run directory per budget.
+fn artifact_dir() -> PathBuf {
     let dir = PathBuf::from("target/experiments");
     std::fs::create_dir_all(&dir).expect("create target/experiments");
     dir
-}
-
-/// Loads the characterised VCO Pareto front for a budget, computing and
-/// caching it on first use. Every table/figure binary shares this
-/// artifact so the expensive stage-1/stage-2 work runs once.
-pub fn load_or_build_front(budget: Budget) -> CharacterizedFront {
-    let path = artifact_dir().join(format!("front_{}.json", budget.label()));
-    if let Ok(text) = std::fs::read_to_string(&path) {
-        if let Ok(front) = serde_json::from_str::<CharacterizedFront>(&text) {
-            eprintln!("loaded cached front from {}", path.display());
-            return front;
-        }
-    }
-    eprintln!(
-        "building characterised front ({} budget) — this runs transistor-level NSGA-II + MC...",
-        budget.label()
-    );
-    let testbench = VcoTestbench::default();
-    // Specification propagation: the PLL band becomes circuit-level
-    // coverage constraints (paper Fig 3).
-    let problem = VcoSizingProblem::with_band(testbench.clone(), 500e6, 1.2e9);
-    let result = run_nsga2(&problem, &budget.circuit_ga());
-    let mut front = result.pareto_front();
-    eprintln!(
-        "  stage 1 done: {} evaluations, {} pareto designs",
-        result.evaluations,
-        front.len()
-    );
-    thin(&mut front, budget.max_char_points());
-    let engine = MonteCarlo::new(ProcessSpec::default());
-    // Long experiment runs absorb solver hiccups (retry relaxed, then
-    // drop the point) rather than discarding the stage-1 investment.
-    let mut events = FlowEvents::new();
-    let characterized = characterize_front_with(
-        &front,
-        &testbench,
-        &engine,
-        &budget.char_mc(),
-        DegradePolicy::RetryRelaxed {
-            max_retries: 2,
-            min_surviving_points: 2,
-        },
-        None,
-        &mut events,
-    )
-    .expect("characterisation succeeds");
-    for event in events.iter() {
-        eprintln!("  [event] {event}");
-    }
-    let json = serde_json::to_string(&characterized).expect("serialise front");
-    std::fs::write(&path, json).expect("cache front");
-    eprintln!("  stage 2 done: cached to {}", path.display());
-    characterized
-}
-
-fn thin(front: &mut Vec<moea::problem::Individual>, max_points: usize) {
-    if front.len() <= max_points || max_points < 2 {
-        return;
-    }
-    // Every feasible point covers the band; order along current so the
-    // power/jitter trade-off survives thinning.
-    front.sort_by(|a, b| {
-        a.objectives[1]
-            .partial_cmp(&b.objectives[1])
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    let n = front.len();
-    let picked: Vec<_> = (0..max_points)
-        .map(|k| front[k * (n - 1) / (max_points - 1)].clone())
-        .collect();
-    *front = picked;
 }
 
 #[cfg(test)]
@@ -184,16 +132,18 @@ mod tests {
     fn budget_labels_and_scaling() {
         assert_eq!(Budget::Quick.label(), "quick");
         assert_eq!(Budget::Full.label(), "full");
-        assert_eq!(Budget::Full.circuit_ga().population, 100);
-        assert_eq!(Budget::Full.circuit_ga().generations, 30);
-        assert_eq!(Budget::Full.char_mc().samples, 100);
-        assert_eq!(Budget::Full.verify_mc().samples, 500);
-        assert!(Budget::Quick.char_mc().samples < 100);
+        let full = Budget::Full.config();
+        assert_eq!(full.circuit_ga.population, 100);
+        assert_eq!(full.circuit_ga.generations, 30);
+        assert_eq!(full.char_mc.samples, 100);
+        assert_eq!(full.verify_mc.samples, 500);
+        assert!(Budget::Quick.config().char_mc.samples < 100);
     }
 
     #[test]
     fn artifact_dir_is_created() {
         let d = artifact_dir();
         assert!(d.exists());
+        assert!(Budget::Quick.run_dir().starts_with(&d));
     }
 }

@@ -31,29 +31,36 @@ pub use cache::{CacheCounters, EvalCache};
 pub use disk::{DiskLoad, DiskTier};
 pub use key::{fnv1a, fnv1a_extend, mix_word, CacheKey, KeyQuantiser};
 
-/// Reads the `HIERSIZER_EVALCACHE` environment override: `1`, `true`,
-/// `on` enable, `0`, `false`, `off` disable, anything else (or unset)
+/// Reads the `HIERSIZER_EVALCACHE` environment override with
+/// [`telemetry::parse_switch`]: `1`/`true`/`on`/`yes` enable,
+/// `0`/`false`/`off`/`no` disable, and unset, empty or anything else
 /// falls back to `default`. Mirrors `exec::threads_from_env` so CI can
 /// run the same binary with and without caching.
 #[must_use]
 pub fn enabled_from_env(default: bool) -> bool {
-    match std::env::var("HIERSIZER_EVALCACHE") {
-        Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
-            "1" | "true" | "on" => true,
-            "0" | "false" | "off" => false,
-            _ => default,
-        },
-        Err(_) => default,
-    }
+    telemetry::parse_switch(
+        std::env::var("HIERSIZER_EVALCACHE").ok().as_deref(),
+        default,
+    )
 }
 
 #[cfg(test)]
 mod tests {
+    use telemetry::parse_switch;
+
     #[test]
     fn env_override_parses_common_spellings() {
-        // Can't mutate the process environment safely under a threaded
-        // test harness; exercise the parser through the default path.
-        assert!(super::enabled_from_env(true));
-        assert!(!super::enabled_from_env(false));
+        // Strings, not the process environment: the CI matrix sets the
+        // variable, and no assertion may depend on its value.
+        for on in ["1", "true", "on", "yes", " TRUE ", "On"] {
+            assert!(parse_switch(Some(on), false), "{on:?}");
+        }
+        for off in ["0", "false", "off", "no", " OFF", "No"] {
+            assert!(!parse_switch(Some(off), true), "{off:?}");
+        }
+        for fallback in [None, Some(""), Some("  "), Some("auto"), Some("2")] {
+            assert!(parse_switch(fallback, true), "{fallback:?}");
+            assert!(!parse_switch(fallback, false), "{fallback:?}");
+        }
     }
 }

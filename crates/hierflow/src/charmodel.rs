@@ -13,7 +13,7 @@ use tablemodel::tbl_io::write_tbl_file;
 use variation::mc::{McConfig, MonteCarlo};
 
 use crate::error::FlowError;
-use crate::events::{DeadlineScope, FlowEvent, FlowEvents, FlowStage};
+use crate::events::{FlowEvent, FlowEvents, FlowStage};
 use crate::faults::FaultInjector;
 use crate::policy::{relaxed_options, DegradePolicy};
 use crate::vco_eval::{VcoPerf, VcoTestbench};
@@ -215,73 +215,24 @@ fn characterize_point(
 /// deterministically fails selected `(point, sample)` evaluations for
 /// failure-semantics testing.
 ///
-/// # Errors
+/// The stage runs under an explicit execution policy: per-sample
+/// wall-clock deadlines (overruns become [`FlowEvent::TaskTimedOut`]
+/// entries and failed samples), cooperative cancellation and batch
+/// deadlines (the stage stops claiming work, records the interruption
+/// and returns a resumable [`FlowError::Cancelled`] /
+/// [`FlowError::DeadlineExceeded`]), and per-sample retries for
+/// transient faults. Every batch's scheduling statistics land in
+/// `events` as [`FlowEvent::PoolBatch`]. Worker threads come from
+/// `exec.threads` when set (> 0), falling back to `mc.threads`; results
+/// are bit-identical across thread counts.
 ///
-/// Returns [`FlowError::Stage`] when the front is empty or fewer than
-/// the policy's minimum points survive, and
-/// [`FlowError::Characterization`] (with stage, point and sample
-/// provenance) when a strict policy meets a failed sample.
-pub fn characterize_front_with(
-    front: &[Individual],
-    testbench: &VcoTestbench,
-    engine: &MonteCarlo,
-    mc: &McConfig,
-    policy: DegradePolicy,
-    faults: Option<&FaultInjector>,
-    events: &mut FlowEvents,
-) -> Result<CharacterizedFront, FlowError> {
-    characterize_front_supervised(
-        front,
-        testbench,
-        engine,
-        mc,
-        policy,
-        faults,
-        &ExecPolicy::default(),
-        events,
-    )
-}
-
-/// [`characterize_front_with`] under an explicit execution policy:
-/// per-sample wall-clock deadlines (overruns become
-/// [`FlowEvent::TaskTimedOut`] entries and failed samples), cooperative
-/// cancellation and batch deadlines (the stage stops claiming work,
-/// records the interruption and returns a resumable
-/// [`FlowError::Cancelled`] / [`FlowError::DeadlineExceeded`]), and
-/// per-sample retries for transient faults. Every batch's scheduling
-/// statistics land in `events` as [`FlowEvent::PoolBatch`].
-///
-/// Worker threads come from `exec.threads` when set (> 0), falling back
-/// to `mc.threads`; results are bit-identical across thread counts.
-///
-/// # Errors
-///
-/// As [`characterize_front_with`], plus [`FlowError::Cancelled`] when
-/// the policy's token fires and [`FlowError::DeadlineExceeded`] when
-/// its batch deadline expires mid-stage.
-#[allow(clippy::too_many_arguments)]
-pub fn characterize_front_supervised(
-    front: &[Individual],
-    testbench: &VcoTestbench,
-    engine: &MonteCarlo,
-    mc: &McConfig,
-    policy: DegradePolicy,
-    faults: Option<&FaultInjector>,
-    exec: &ExecPolicy,
-    events: &mut FlowEvents,
-) -> Result<CharacterizedFront, FlowError> {
-    characterize_front_cached(
-        front, testbench, engine, mc, policy, faults, exec, None, events,
-    )
-}
-
-/// [`characterize_front_supervised`] with an optional evaluation memo
-/// cache: each `(sizing, retry attempt, sample)` measurement is
-/// memoised, so repeated characterisation of the same front — a flow
-/// resumed after its stage-2 checkpoint was lost, or Pareto points
-/// sharing a sizing — replays metric vectors instead of re-simulating.
-/// Results are bit-identical with and without the cache; only
-/// successful samples are memoised, failures re-run every time.
+/// An optional evaluation memo cache memoises each `(sizing, retry
+/// attempt, sample)` measurement, so repeated characterisation of the
+/// same front — a flow resumed after its stage-2 checkpoint was lost,
+/// or Pareto points sharing a sizing — replays metric vectors instead
+/// of re-simulating. Results are bit-identical with and without the
+/// cache; only successful samples are memoised, failures re-run every
+/// time.
 ///
 /// A [`FaultInjector`] disables the cache for the whole call: injected
 /// faults are keyed by `(point, sample, attempt)`, and serving a
@@ -290,7 +241,13 @@ pub fn characterize_front_supervised(
 ///
 /// # Errors
 ///
-/// As [`characterize_front_supervised`].
+/// Returns [`FlowError::Stage`] when the front is empty or fewer than
+/// the policy's minimum points survive,
+/// [`FlowError::Characterization`] (with stage, point and sample
+/// provenance) when a strict policy meets a failed sample,
+/// [`FlowError::Cancelled`] when the policy's token fires and
+/// [`FlowError::DeadlineExceeded`] when its batch deadline expires
+/// mid-stage.
 #[allow(clippy::too_many_arguments)]
 pub fn characterize_front_cached(
     front: &[Individual],
@@ -366,22 +323,8 @@ pub fn characterize_front_cached(
             record_batch(events, idx, &outcome);
         }
 
-        match outcome.aborted {
-            Some(AbortReason::Cancelled) => {
-                events.push(FlowEvent::RunCancelled { stage: STAGE });
-                return Err(FlowError::Cancelled { stage: STAGE });
-            }
-            Some(AbortReason::DeadlineExceeded) => {
-                events.push(FlowEvent::BudgetExhausted {
-                    stage: STAGE,
-                    scope: DeadlineScope::Stage,
-                });
-                return Err(FlowError::DeadlineExceeded {
-                    stage: STAGE,
-                    scope: DeadlineScope::Stage,
-                });
-            }
-            None => {}
+        if let Some(reason) = outcome.aborted {
+            return Err(events.record_abort(STAGE, reason));
         }
 
         match outcome.point {
@@ -449,12 +392,12 @@ pub fn characterize_front_cached(
 /// Characterises a front under the default degradation policy
 /// ([`DegradePolicy::default`]: skip failed points, keep at least the
 /// two survivors the table model needs) with no fault injection and a
-/// discarded event log. Prefer [`characterize_front_with`] where the
+/// discarded event log. Prefer [`characterize_front_cached`] where the
 /// event log matters.
 ///
 /// # Errors
 ///
-/// As [`characterize_front_with`].
+/// As [`characterize_front_cached`].
 pub fn characterize_front(
     front: &[Individual],
     testbench: &VcoTestbench,
@@ -462,12 +405,14 @@ pub fn characterize_front(
     mc: &McConfig,
 ) -> Result<CharacterizedFront, FlowError> {
     let mut events = FlowEvents::new();
-    characterize_front_with(
+    characterize_front_cached(
         front,
         testbench,
         engine,
         mc,
         DegradePolicy::default(),
+        None,
+        &ExecPolicy::default(),
         None,
         &mut events,
     )
@@ -586,12 +531,14 @@ mod tests {
             sampler: variation::sampler::SamplerKind::PlainMc,
         };
         let mut events = FlowEvents::new();
-        let baseline = characterize_front_with(
+        let baseline = characterize_front_cached(
             &front,
             &tb,
             &engine,
             &mc,
             DegradePolicy::default(),
+            None,
+            &ExecPolicy::default(),
             None,
             &mut events,
         )
@@ -650,13 +597,15 @@ mod tests {
         let faults =
             FaultInjector::new().fail_sample(1, 2, crate::faults::FaultKind::SingularMatrix);
         let mut events = FlowEvents::new();
-        let err = characterize_front_with(
+        let err = characterize_front_cached(
             &front,
             &tb,
             &engine,
             &mc,
             DegradePolicy::Strict,
             Some(&faults),
+            &ExecPolicy::default(),
+            None,
             &mut events,
         )
         .unwrap_err();
@@ -682,7 +631,7 @@ mod tests {
             .fail_point(1, crate::faults::FaultKind::NonConvergence)
             .fail_sample(0, 0, crate::faults::FaultKind::Timeout);
         let mut events = FlowEvents::new();
-        let out = characterize_front_with(
+        let out = characterize_front_cached(
             &front,
             &tb,
             &engine,
@@ -691,6 +640,8 @@ mod tests {
                 min_surviving_points: 2,
             },
             Some(&faults),
+            &ExecPolicy::default(),
+            None,
             &mut events,
         )
         .unwrap();
@@ -722,7 +673,7 @@ mod tests {
             .fail_point(0, crate::faults::FaultKind::NonConvergence)
             .transient();
         let mut events = FlowEvents::new();
-        let out = characterize_front_with(
+        let out = characterize_front_cached(
             &front,
             &tb,
             &engine,
@@ -732,6 +683,8 @@ mod tests {
                 min_surviving_points: 2,
             },
             Some(&faults),
+            &ExecPolicy::default(),
+            None,
             &mut events,
         )
         .unwrap();
@@ -765,13 +718,15 @@ mod tests {
             .fail_point(0, crate::faults::FaultKind::SingularMatrix)
             .fail_point(1, crate::faults::FaultKind::SingularMatrix);
         let mut events = FlowEvents::new();
-        let err = characterize_front_with(
+        let err = characterize_front_cached(
             &front,
             &tb,
             &engine,
             &mc,
             DegradePolicy::default(),
             Some(&faults),
+            &ExecPolicy::default(),
+            None,
             &mut events,
         )
         .unwrap_err();
@@ -794,7 +749,7 @@ mod tests {
         };
         let faults = FaultInjector::new().fail_sample(0, 1, crate::faults::FaultKind::NanOutput);
         let mut events = FlowEvents::new();
-        let out = characterize_front_with(
+        let out = characterize_front_cached(
             &front,
             &tb,
             &engine,
@@ -803,6 +758,8 @@ mod tests {
                 min_surviving_points: 1,
             },
             Some(&faults),
+            &ExecPolicy::default(),
+            None,
             &mut events,
         )
         .unwrap();

@@ -10,7 +10,10 @@
 
 use std::fmt;
 
+use exec::AbortReason;
 use serde::{Deserialize, Serialize};
+
+use crate::error::FlowError;
 
 /// The five stages of the hierarchical flow (paper Fig 4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -75,11 +78,15 @@ pub enum FlowEvent {
         /// Artifact file name within the run directory.
         file: String,
     },
-    /// A Pareto point was dropped under a degradation policy.
+    /// A Pareto point was dropped: in characterisation under a
+    /// degradation policy, in verification when the in-loop
+    /// transistor-level check rejected a candidate.
     PointSkipped {
         /// The stage.
         stage: FlowStage,
-        /// Index of the point within the (thinned) front.
+        /// Index of the point within the stage's front: the (thinned)
+        /// circuit-level front, or the system-level front in
+        /// verification.
         point: usize,
         /// Why it was dropped.
         reason: String,
@@ -428,6 +435,23 @@ impl FlowEvents {
                 _ => None,
             })
             .collect()
+    }
+
+    /// Records a supervised batch of `stage` that stopped early and
+    /// returns the resumable error the stage surfaces. The batch
+    /// deadline is reported at stage scope.
+    pub(crate) fn record_abort(&mut self, stage: FlowStage, reason: AbortReason) -> FlowError {
+        match reason {
+            AbortReason::Cancelled => {
+                self.push(FlowEvent::RunCancelled { stage });
+                FlowError::Cancelled { stage }
+            }
+            AbortReason::DeadlineExceeded => {
+                let scope = DeadlineScope::Stage;
+                self.push(FlowEvent::BudgetExhausted { stage, scope });
+                FlowError::DeadlineExceeded { stage, scope }
+            }
+        }
     }
 
     /// Whether the run was interrupted (cancelled or out of budget) —

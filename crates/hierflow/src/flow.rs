@@ -801,6 +801,7 @@ impl HierarchicalFlow {
                         &cfg.spec,
                         &cfg.lock_sim,
                         12,
+                        &mut events,
                     ));
                     let verification = bail_on_err!(verify_design(
                         &picked.sizing,
@@ -811,6 +812,8 @@ impl HierarchicalFlow {
                         &engine,
                         &cfg.verify_mc,
                         &cfg.lock_sim,
+                        &stage_policy(),
+                        &mut events,
                     ));
                     events.push(FlowEvent::StageFinished {
                         stage: FlowStage::Verify,

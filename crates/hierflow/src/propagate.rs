@@ -9,53 +9,10 @@ use moea::problem::Individual;
 use netlist::topology::VcoSizing;
 
 use crate::error::FlowError;
+use crate::events::{FlowEvent, FlowEvents, FlowStage};
 use crate::model::PerfVariationModel;
 use crate::system_opt::{PllArchitecture, PllSystemProblem, SystemSolution};
 use crate::vco_eval::{VcoPerf, VcoTestbench};
-
-/// Selects the design solution from a system-level Pareto front: among
-/// solutions that meet every specification *including the variation
-/// corners* (the paper's shaded Table-2 row), the one with the lowest
-/// nominal jitter; ties break on current.
-///
-/// Returns the winning decision vector and its Table-2 row.
-///
-/// # Errors
-///
-/// Returns [`FlowError::Stage`] when no solution meets the
-/// specification.
-pub fn select_design(
-    problem: &PllSystemProblem,
-    front: &[Individual],
-) -> Result<(Vec<f64>, SystemSolution), FlowError> {
-    let mut best: Option<(Vec<f64>, SystemSolution)> = None;
-    for ind in front {
-        let Ok(sol) = problem.detail(&ind.x) else {
-            continue;
-        };
-        if !sol.meets_spec {
-            continue;
-        }
-        let better = match &best {
-            None => true,
-            Some((_, b)) => {
-                sol.jitter < b.jitter || (sol.jitter == b.jitter && sol.current < b.current)
-            }
-        };
-        if better {
-            best = Some((ind.x.clone(), sol));
-        }
-    }
-    best.ok_or_else(|| {
-        FlowError::stage(
-            "propagate",
-            format!(
-                "no system-level solution meets the specification ({} candidates)",
-                front.len()
-            ),
-        )
-    })
-}
 
 /// Backs a selected system solution out to transistor dimensions.
 ///
@@ -83,8 +40,6 @@ pub struct VerifiedSelection {
     pub sizing: VcoSizing,
     /// The sizing's *actual* transistor-level performance.
     pub actual: VcoPerf,
-    /// Candidates rejected before this one was accepted.
-    pub rejected: usize,
 }
 
 /// Verification-in-the-loop selection (the two-way arrows of the paper's
@@ -93,7 +48,10 @@ pub struct VerifiedSelection {
 /// once at transistor level, and accept the first whose **actual**
 /// performance still meets the PLL specification. Model interpolation
 /// error on sparse fronts is thereby caught before the expensive
-/// Monte-Carlo verification.
+/// Monte-Carlo verification. Each rejected candidate is recorded in
+/// `events` as a [`FlowEvent::PointSkipped`] in the verify stage, keyed
+/// by its index in `front`, with the reason: the failed evaluation or
+/// the specs its actual performance misses.
 ///
 /// # Errors
 ///
@@ -109,21 +67,24 @@ pub fn select_verified_design(
     spec: &PllSpec,
     sim_cfg: &LockSimConfig,
     max_candidates: usize,
+    events: &mut FlowEvents,
 ) -> Result<VerifiedSelection, FlowError> {
-    // Rank the model-compliant candidates by nominal jitter.
-    let mut candidates: Vec<(Vec<f64>, SystemSolution)> = front
+    // Rank the model-compliant candidates by nominal jitter, keeping
+    // each one's index in the front.
+    let mut candidates: Vec<(usize, Vec<f64>, SystemSolution)> = front
         .iter()
-        .filter_map(|ind| {
+        .enumerate()
+        .filter_map(|(idx, ind)| {
             problem
                 .detail(&ind.x)
                 .ok()
                 .filter(|sol| sol.meets_spec)
-                .map(|sol| (ind.x.clone(), sol))
+                .map(|sol| (idx, ind.x.clone(), sol))
         })
         .collect();
     candidates.sort_by(|a, b| {
-        a.1.jitter
-            .partial_cmp(&b.1.jitter)
+        a.2.jitter
+            .partial_cmp(&b.2.jitter)
             .unwrap_or(std::cmp::Ordering::Equal)
     });
     if candidates.is_empty() {
@@ -141,7 +102,7 @@ pub fn select_verified_design(
     // spent on genuinely distinct circuits.
     let mut seen_designs: Vec<usize> = Vec::new();
     let mut distinct = Vec::new();
-    for (x, solution) in candidates {
+    for (idx, x, solution) in candidates {
         let nearest_ref = model.nearest_point(solution.kvco, solution.ivco);
         let nearest = model
             .points()
@@ -152,15 +113,26 @@ pub fn select_verified_design(
             continue;
         }
         seen_designs.push(nearest);
-        distinct.push((x, solution));
+        distinct.push((idx, x, solution));
     }
 
     let mut rejected = 0usize;
-    for (x, solution) in distinct.into_iter().take(max_candidates.max(1)) {
+    let mut reject = |point: usize, reason: String| {
+        rejected += 1;
+        events.push(FlowEvent::PointSkipped {
+            stage: FlowStage::Verify,
+            point,
+            reason,
+        });
+    };
+    for (idx, x, solution) in distinct.into_iter().take(max_candidates.max(1)) {
         let sizing = backout_sizing(model, &solution);
-        let Ok(actual) = testbench.evaluate_sizing(&sizing) else {
-            rejected += 1;
-            continue;
+        let actual = match testbench.evaluate_sizing(&sizing) {
+            Ok(actual) => actual,
+            Err(e) => {
+                reject(idx, format!("transistor-level evaluation failed: {e}"));
+                continue;
+            }
         };
         // Re-run the behavioural PLL on the actual performance.
         let params = PllParams {
@@ -189,21 +161,28 @@ pub fn select_verified_design(
             jitter: pll_jitter_sum(actual.jvco, arch.divider),
             current: actual.ivco + PLL_FIXED_CURRENT,
         };
-        if spec.passes(&perf) {
+        let violations = spec.violations(&perf);
+        if violations.is_empty() {
             return Ok(VerifiedSelection {
                 x,
                 solution,
                 sizing,
                 actual,
-                rejected,
             });
         }
-        rejected += 1;
+        reject(
+            idx,
+            format!(
+                "actual performance misses the spec: {}",
+                violations.join("; ")
+            ),
+        );
     }
     Err(FlowError::stage(
         "propagate",
         format!(
-            "no candidate survived verification-in-the-loop ({rejected} rejected) —              the model over-estimates in this region; increase the characterisation budget"
+            "no candidate survived verification-in-the-loop ({rejected} rejected) — \
+             the model over-estimates in this region; increase the characterisation budget"
         ),
     ))
 }
@@ -264,22 +243,23 @@ mod tests {
         Individual::new(x, eval)
     }
 
-    #[test]
-    fn selects_lowest_jitter_spec_compliant_solution() {
-        let p = problem();
-        let front = vec![
-            candidate(&p, vec![1.6e9, 3.0e-3, 30e-12, 3e-12, 4e3]),
-            candidate(&p, vec![2.2e9, 4.2e-3, 30e-12, 3e-12, 4e3]),
-        ];
-        let (x, sol) = select_design(&p, &front).unwrap();
-        assert!(sol.meets_spec);
-        // The higher-gain/higher-current design has lower VCO jitter on
-        // this synthetic front; it should win if both meet spec.
-        let other = p.detail(&front[0].x).unwrap();
-        if other.meets_spec {
-            assert!(sol.jitter <= other.jitter);
-        }
-        assert_eq!(x.len(), 5);
+    fn select(
+        p: &PllSystemProblem,
+        front: &[Individual],
+        spec: &PllSpec,
+        events: &mut FlowEvents,
+    ) -> Result<VerifiedSelection, FlowError> {
+        select_verified_design(
+            p,
+            front,
+            &model(),
+            &VcoTestbench::default(),
+            &PllArchitecture::default(),
+            spec,
+            &LockSimConfig::default(),
+            2,
+            events,
+        )
     }
 
     #[test]
@@ -292,10 +272,52 @@ mod tests {
             vec![9e9, 3e-3, 30e-12, 3e-12, 4e3],
             Evaluation::failed(3),
         )];
+        let mut events = FlowEvents::new();
         assert!(matches!(
-            select_design(&p, &front),
+            select(&p, &front, &PllSpec::default(), &mut events),
             Err(FlowError::Stage { .. })
         ));
+        assert!(events.is_empty(), "nothing was evaluated: {events}");
+    }
+
+    #[test]
+    fn rejected_candidates_are_recorded_with_the_missed_spec() {
+        // A loose system spec makes the model call three candidates on
+        // its characterised curve compliant; a verification spec no
+        // real VCO meets (1 µA) then rejects every snapped sizing.
+        let loose = PllSpec {
+            lock_time_max: 5e-6,
+            current_max: 50e-3,
+            ..PllSpec::default()
+        };
+        let p = PllSystemProblem::new(
+            model(),
+            PllArchitecture::default(),
+            loose,
+            LockSimConfig::default(),
+        );
+        let front: Vec<Individual> = [0.25, 0.5, 0.75]
+            .into_iter()
+            .map(|t| {
+                let x = vec![0.8e9 + 1.6e9 * t, 1.5e-3 + 3.0e-3 * t, 30e-12, 3e-12, 4e3];
+                candidate(&p, x)
+            })
+            .collect();
+        let spec = PllSpec {
+            current_max: 1e-6,
+            ..PllSpec::default()
+        };
+        let mut events = FlowEvents::new();
+        let err = select(&p, &front, &spec, &mut events).unwrap_err();
+        // Lowest jitter first, and at most `max_candidates` (2) tried.
+        assert_eq!(events.skipped_points(FlowStage::Verify), vec![2, 1]);
+        assert!(err.to_string().contains("(2 rejected)"), "{err}");
+        for e in events.iter() {
+            let FlowEvent::PointSkipped { reason, .. } = e else {
+                panic!("unexpected event {e}");
+            };
+            assert!(reason.contains("current"), "{reason}");
+        }
     }
 
     #[test]

@@ -6,12 +6,14 @@ use behavioral::jitter::pll_jitter_sum;
 use behavioral::params::{PllParams, PLL_FIXED_CURRENT};
 use behavioral::spec::{PllPerformance, PllSpec};
 use behavioral::timesim::{lock_times, LockSimConfig};
+use exec::{ExecPolicy, TaskFailure};
 use netlist::topology::VcoSizing;
 use numkit::stats::wilson_interval;
 use serde::{Deserialize, Serialize};
 use variation::mc::{McConfig, MonteCarlo};
 
 use crate::error::FlowError;
+use crate::events::{FlowEvents, FlowStage};
 use crate::system_opt::PllArchitecture;
 use crate::vco_eval::{VcoPerf, VcoTestbench};
 
@@ -38,10 +40,16 @@ pub struct VerificationReport {
 /// behavioural PLL with the loop filter of the selected solution, then
 /// checked against the spec.
 ///
+/// The samples run under `exec`: a fired cancel token or an expired
+/// batch deadline stops the Monte Carlo at the next sample claim, and
+/// the interruption is recorded in `events`.
+///
 /// # Errors
 ///
 /// Returns [`FlowError::Stage`] when every sample fails to evaluate
-/// (the design is broken, not merely low-yield).
+/// (the design is broken, not merely low-yield), and
+/// [`FlowError::Cancelled`] or [`FlowError::DeadlineExceeded`] when
+/// `exec` stops the run.
 #[allow(clippy::too_many_arguments)]
 pub fn verify_design(
     sizing: &VcoSizing,
@@ -52,15 +60,20 @@ pub fn verify_design(
     engine: &MonteCarlo,
     mc: &McConfig,
     sim_cfg: &LockSimConfig,
+    exec: &ExecPolicy,
+    events: &mut FlowEvents,
 ) -> Result<VerificationReport, FlowError> {
     let (c1, c2, r1) = filter;
     let ring = testbench.build(sizing);
-    let run = engine.run(&ring.circuit, mc, |_i, perturbed| {
+    let run = engine.run_supervised(&ring.circuit, mc, exec, |_i, perturbed| {
         testbench
             .evaluate_circuit(perturbed, &ring)
-            .ok()
             .map(|p| p.to_array().to_vec())
+            .map_err(|_| TaskFailure::permanent("evaluation failed"))
     });
+    if let Some(reason) = run.aborted {
+        return Err(events.record_abort(FlowStage::Verify, reason));
+    }
     if run.accepted == 0 {
         return Err(FlowError::stage(
             "verify",
@@ -159,6 +172,8 @@ mod tests {
             &engine,
             &mc,
             &LockSimConfig::default(),
+            &ExecPolicy::default(),
+            &mut FlowEvents::new(),
         )
         .unwrap();
         assert_eq!(report.total, 8);
@@ -197,9 +212,42 @@ mod tests {
             &engine,
             &mc,
             &LockSimConfig::default(),
+            &ExecPolicy::default(),
+            &mut FlowEvents::new(),
         )
         .unwrap();
         assert_eq!(report.passed, 0);
         assert_eq!(report.yield_value, 0.0);
+    }
+
+    #[test]
+    fn cancelled_policy_stops_verification_and_reports_it() {
+        let mc = McConfig {
+            samples: 500,
+            ..McConfig::default()
+        };
+        let token = exec::CancelToken::new();
+        token.cancel();
+        let mut events = FlowEvents::new();
+        let started = std::time::Instant::now();
+        let err = verify_design(
+            &VcoSizing::nominal(),
+            (30e-12, 3e-12, 4e3),
+            &VcoTestbench::default(),
+            &PllArchitecture::default(),
+            &PllSpec::default(),
+            &MonteCarlo::new(ProcessSpec::default()),
+            &mc,
+            &LockSimConfig::default(),
+            &ExecPolicy::default().with_cancel(token),
+            &mut events,
+        )
+        .unwrap_err();
+        let stage = FlowStage::Verify;
+        assert_eq!(err, FlowError::Cancelled { stage });
+        assert!(events.interrupted(), "the cancellation must be on record");
+        // No sample ran: 500 transistor-level evaluations take minutes
+        // in a test build.
+        assert!(started.elapsed() < std::time::Duration::from_secs(30));
     }
 }

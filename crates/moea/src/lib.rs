@@ -62,7 +62,7 @@ pub mod spea2;
 pub mod zoo;
 
 pub use de::{run_de, run_de_cached, DeConfig, DeResult};
-pub use nsga2::{run_nsga2, run_nsga2_cached, run_nsga2_seeded, Nsga2Config, Nsga2Result};
+pub use nsga2::{run_nsga2, run_nsga2_cached, Nsga2Config, Nsga2Result};
 pub use problem::{Evaluation, Individual, Problem};
 pub use spea2::{run_spea2, run_spea2_cached, Spea2Config, Spea2Result};
 pub use zoo::{run_optimizer, run_optimizer_cached, OptimizerKind, ZooConfig, ZooResult};

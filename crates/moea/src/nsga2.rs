@@ -6,7 +6,7 @@
 //! claim candidates from a shared cursor (a slow simulation no longer
 //! sets the generation's wall clock through its static chunk), panics
 //! and per-task deadline overruns become failed candidates, and
-//! [`run_nsga2_supervised`] threads a cancellation token and batch
+//! [`run_nsga2_cached`] threads a cancellation token and batch
 //! deadline through every generation.
 
 use evalcache::EvalCache;
@@ -138,54 +138,24 @@ impl Nsga2Result {
 ///
 /// See the [crate-level example](crate).
 pub fn run_nsga2<P: Problem>(problem: &P, cfg: &Nsga2Config) -> Nsga2Result {
-    run_nsga2_seeded(problem, cfg, &[])
-}
-
-/// Runs NSGA-II with user-provided warm-start candidates injected into
-/// the initial population (clamped to bounds; excess beyond the
-/// population size is dropped). Warm starts matter when the feasible
-/// region is a set of small islands — e.g. a system-level problem whose
-/// trusted design points come from a characterised library.
-///
-/// # Panics
-///
-/// As [`run_nsga2`]; additionally if any seed has the wrong dimension.
-pub fn run_nsga2_seeded<P: Problem>(
-    problem: &P,
-    cfg: &Nsga2Config,
-    seeds: &[Vec<f64>],
-) -> Nsga2Result {
-    run_nsga2_supervised(problem, cfg, seeds, &ExecPolicy::default())
+    run_nsga2_cached(problem, cfg, &[], &ExecPolicy::default(), None)
         .expect("an unsupervised run has no cancellation or deadline to abort it")
 }
 
-/// Runs NSGA-II under an explicit execution policy: candidate
-/// evaluation uses the supervised pool (worker threads from
-/// `exec.threads` when set, else `cfg.eval_threads`), a per-task
+/// Runs NSGA-II with warm starts, an execution policy and an optional
+/// evaluation memo cache.
+///
+/// `seeds` are warm-start candidates injected into the initial
+/// population (clamped to bounds; excess beyond the population size is
+/// dropped). Warm starts matter when the feasible region is a set of
+/// small islands — e.g. a system-level problem whose trusted design
+/// points come from a characterised library.
+///
+/// Candidate evaluation uses the supervised pool (worker threads from
+/// `exec.threads` when set, else `cfg.eval_threads`): a per-task
 /// deadline turns slow candidates into failed evaluations, and the
-/// cancel token / batch deadline are honoured between tasks and between
-/// generations.
-///
-/// # Errors
-///
-/// Returns the [`AbortReason`] when the run was cancelled or its batch
-/// deadline expired; partial GA state is discarded (a half-evolved
-/// population is not a result).
-///
-/// # Panics
-///
-/// As [`run_nsga2_seeded`].
-pub fn run_nsga2_supervised<P: Problem>(
-    problem: &P,
-    cfg: &Nsga2Config,
-    seeds: &[Vec<f64>],
-    exec: &ExecPolicy,
-) -> Result<Nsga2Result, AbortReason> {
-    run_nsga2_cached(problem, cfg, seeds, exec, None)
-}
-
-/// Runs NSGA-II as [`run_nsga2_supervised`], additionally memoising
-/// candidate evaluations through `cache` when one is provided.
+/// cancel token and batch deadline are honoured between tasks and
+/// between generations.
 ///
 /// With a cache, each generation's batch is first deduplicated by exact
 /// genome bit pattern (SBX and elitism re-propose identical genomes
@@ -199,11 +169,13 @@ pub fn run_nsga2_supervised<P: Problem>(
 ///
 /// # Errors
 ///
-/// As [`run_nsga2_supervised`].
+/// Returns the [`AbortReason`] when the run was cancelled or its batch
+/// deadline expired; partial GA state is discarded (a half-evolved
+/// population is not a result).
 ///
 /// # Panics
 ///
-/// As [`run_nsga2_seeded`].
+/// As [`run_nsga2`]; additionally if any seed has the wrong dimension.
 pub fn run_nsga2_cached<P: Problem>(
     problem: &P,
     cfg: &Nsga2Config,
@@ -523,7 +495,14 @@ mod tests {
             ..Default::default()
         };
         let cold = run_nsga2(&Island, &cfg);
-        let warm = run_nsga2_seeded(&Island, &cfg, &[vec![0.123, 0.456]]);
+        let warm = run_nsga2_cached(
+            &Island,
+            &cfg,
+            &[vec![0.123, 0.456]],
+            &ExecPolicy::default(),
+            None,
+        )
+        .unwrap();
         assert!(warm.pareto_front().iter().any(|i| i.is_feasible()));
         assert!(warm.pareto_front().iter().any(|i| i.objectives[0] < 1e-12));
         // The cold run almost surely misses the island in one generation.
@@ -538,7 +517,8 @@ mod tests {
             seed: 2,
             ..Default::default()
         };
-        let result = run_nsga2_seeded(&Zdt1, &cfg, &[vec![5.0; 10]]);
+        let result =
+            run_nsga2_cached(&Zdt1, &cfg, &[vec![5.0; 10]], &ExecPolicy::default(), None).unwrap();
         for ind in &result.population {
             assert!(ind.x.iter().all(|&v| (0.0..=1.0).contains(&v)));
         }
@@ -771,8 +751,8 @@ mod tests {
         };
         let token = exec::CancelToken::new();
         token.cancel();
-        let err = run_nsga2_supervised(&Zdt1, &cfg, &[], &ExecPolicy::default().with_cancel(token))
-            .unwrap_err();
+        let policy = ExecPolicy::default().with_cancel(token);
+        let err = run_nsga2_cached(&Zdt1, &cfg, &[], &policy, None).unwrap_err();
         assert_eq!(err, AbortReason::Cancelled);
     }
 
@@ -788,7 +768,7 @@ mod tests {
             ..Default::default()
         };
         let policy = ExecPolicy::default().with_cancel(exec::CancelToken::cancel_after(40));
-        let err = run_nsga2_supervised(&Zdt1, &cfg, &[], &policy).unwrap_err();
+        let err = run_nsga2_cached(&Zdt1, &cfg, &[], &policy, None).unwrap_err();
         assert_eq!(err, AbortReason::Cancelled);
     }
 
@@ -822,7 +802,7 @@ mod tests {
             ..Default::default()
         };
         let policy = ExecPolicy::default().task_deadline(std::time::Duration::from_millis(10));
-        let result = run_nsga2_supervised(&SlowCorner, &cfg, &[], &policy)
+        let result = run_nsga2_cached(&SlowCorner, &cfg, &[], &policy, None)
             .expect("per-task overruns must not abort the run");
         assert!(result.pool.timeouts > 0, "the slow corner must get hit");
         for ind in result.pareto_front() {

@@ -69,20 +69,27 @@ pub fn enabled() -> bool {
     ACTIVE.load(Ordering::Relaxed) != 0
 }
 
+/// Parses an on/off environment override: `1`, `true`, `on` and `yes`
+/// enable; `0`, `false`, `off` and `no` disable (any case, surrounding
+/// whitespace ignored). Unset, empty or any other value leaves
+/// `default`, the configuration's own choice.
+pub fn parse_switch(value: Option<&str>, default: bool) -> bool {
+    match value.map(|v| v.trim().to_ascii_lowercase()).as_deref() {
+        Some("1" | "true" | "on" | "yes") => true,
+        Some("0" | "false" | "off" | "no") => false,
+        _ => default,
+    }
+}
+
 /// Telemetry opt-in requested via the `HIERSIZER_TELEMETRY`
-/// environment variable, or `default` when unset or unrecognised.
-/// `1`/`true`/`on`/`yes` enable, `0`/`false`/`off`/`no` disable; the
-/// CI matrix uses this to drive tier-1 tests through both paths
+/// environment variable (see [`parse_switch`]), or `default` when unset;
+/// the CI matrix uses this to drive tier-1 tests through both paths
 /// without touching configs.
 pub fn enabled_from_env(default: bool) -> bool {
-    match std::env::var("HIERSIZER_TELEMETRY") {
-        Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
-            "1" | "true" | "on" | "yes" => true,
-            "0" | "false" | "off" | "no" => false,
-            _ => default,
-        },
-        Err(_) => default,
-    }
+    parse_switch(
+        std::env::var("HIERSIZER_TELEMETRY").ok().as_deref(),
+        default,
+    )
 }
 
 /// Adds `delta` to the named counter on the ambient registry.
@@ -133,8 +140,12 @@ mod tests {
         gauge_set("t.gauge", 2.0);
         assert!(span("noop").id().is_none());
         assert!(current_span_id().is_none());
-        assert!(enabled_from_env(true));
-        assert!(!enabled_from_env(false));
+        // The override is parsed from strings, so no assertion here
+        // depends on the process environment.
+        assert!(parse_switch(Some("1"), false));
+        assert!(!parse_switch(Some("0"), true));
+        assert!(parse_switch(None, true));
+        assert!(!parse_switch(None, false));
     }
 
     #[test]

@@ -144,6 +144,13 @@ fn cached_flow_is_bit_identical_and_disk_tier_survives_resume() {
     assert_eq!(cached.front, plain.front, "characterised fronts must match");
     assert_eq!(cached.selected, plain.selected);
     assert_eq!(cached.final_sizing, plain.final_sizing);
+    // `HIERSIZER_EVALCACHE=0` forces the cache off over the config: the
+    // runs must still agree, but there are no cache counters to check.
+    if !evalcache::enabled_from_env(true) {
+        std::fs::remove_dir_all(&dir_plain).ok();
+        std::fs::remove_dir_all(&dir_cached).ok();
+        return;
+    }
     let (hits, misses, disk_hits, _) = cached
         .events
         .cache_stats(FlowStage::Characterize)
@@ -528,11 +535,12 @@ fn telemetry_enabled_run_traces_spans_and_stays_bit_identical() {
     let plain = HierarchicalFlow::new(cfg.clone())
         .run_with_checkpoints(&dir_off)
         .expect("disabled run completes");
-    // One CI variant forces HIERSIZER_TELEMETRY=1, which overrides the
-    // config — the "disabled" run is traced there too. Bit identity is
-    // the point either way; the disabled-path assertions only apply
-    // when the environment is not forcing telemetry on.
+    // `HIERSIZER_TELEMETRY` overrides the config: `1` traces the
+    // "disabled" run too and `0` leaves the "enabled" one untraced. Bit
+    // identity is the point either way; each path's assertions apply
+    // only where the environment leaves the config in charge.
     let env_forced = telemetry::enabled_from_env(false);
+    let env_allows = telemetry::enabled_from_env(true);
     if !env_forced {
         assert!(plain.profile.is_none(), "no profile without telemetry");
     }
@@ -552,6 +560,11 @@ fn telemetry_enabled_run_traces_spans_and_stays_bit_identical() {
     // The always-on stage timings cover all five stages either way.
     assert_eq!(plain.stage_wall.len(), 5);
     assert_eq!(traced.stage_wall.len(), 5);
+    if !env_allows {
+        std::fs::remove_dir_all(&dir_off).ok();
+        std::fs::remove_dir_all(&dir_on).ok();
+        return;
+    }
 
     // The in-memory profile and the persisted metrics.json agree.
     let profile = traced.profile.as_ref().expect("traced run has a profile");
