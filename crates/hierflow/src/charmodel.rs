@@ -218,10 +218,10 @@ fn characterize_point(
 /// The stage runs under an explicit execution policy: per-sample
 /// wall-clock deadlines (overruns become [`FlowEvent::TaskTimedOut`]
 /// entries and failed samples), cooperative cancellation and batch
-/// deadlines (the stage stops claiming work, records the interruption
-/// and returns a resumable [`FlowError::Cancelled`] /
-/// [`FlowError::DeadlineExceeded`]), and per-sample retries for
-/// transient faults. Every batch's scheduling statistics land in
+/// deadlines (the stage stops claiming work and returns a resumable
+/// [`FlowError::Cancelled`] / [`FlowError::DeadlineExceeded`] without
+/// recording it: the caller owns that record), and per-sample retries
+/// for transient faults. Every batch's scheduling statistics land in
 /// `events` as [`FlowEvent::PoolBatch`]. Worker threads come from
 /// `exec.threads` when set (> 0), falling back to `mc.threads`; results
 /// are bit-identical across thread counts.
@@ -246,8 +246,8 @@ fn characterize_point(
 /// [`FlowError::Characterization`] (with stage, point and sample
 /// provenance) when a strict policy meets a failed sample,
 /// [`FlowError::Cancelled`] when the policy's token fires and
-/// [`FlowError::DeadlineExceeded`] when its batch deadline expires
-/// mid-stage.
+/// [`FlowError::DeadlineExceeded`] at stage scope when its batch
+/// deadline expires mid-stage.
 #[allow(clippy::too_many_arguments)]
 pub fn characterize_front_cached(
     front: &[Individual],
@@ -277,16 +277,7 @@ pub fn characterize_front_cached(
                 limit_ms,
             });
         }
-        events.push(FlowEvent::PoolBatch {
-            stage: STAGE,
-            point: Some(idx),
-            tasks: outcome.stats.tasks,
-            workers: outcome.stats.workers,
-            per_worker: outcome.stats.per_worker.clone(),
-            stolen: outcome.stats.stolen,
-            retries: outcome.stats.retries,
-            timeouts: outcome.stats.timeouts,
-        });
+        events.record_pool(STAGE, Some(idx), &outcome.stats);
     };
     for (idx, ind) in front.iter().enumerate() {
         let sizing = VcoSizing::from_array(&ind.x);
@@ -324,7 +315,7 @@ pub fn characterize_front_cached(
         }
 
         if let Some(reason) = outcome.aborted {
-            return Err(events.record_abort(STAGE, reason));
+            return Err(FlowError::aborted(STAGE, reason));
         }
 
         match outcome.point {

@@ -2,7 +2,9 @@
 
 use std::fmt;
 
-use crate::events::FlowStage;
+use exec::AbortReason;
+
+use crate::events::{DeadlineScope, FlowStage};
 
 /// Errors surfaced by the hierarchical flow.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,7 +56,7 @@ pub enum FlowError {
         /// The stage that observed the expiry.
         stage: FlowStage,
         /// Which budget scope expired.
-        scope: crate::events::DeadlineScope,
+        scope: DeadlineScope,
     },
 }
 
@@ -160,6 +162,21 @@ impl FlowError {
         FlowError::Checkpoint {
             path: path.into(),
             message: message.into(),
+        }
+    }
+
+    /// The resumable error of a supervised batch of `stage` that stopped
+    /// early. A batch only knows its own deadline, the earlier of the
+    /// stage and run budgets, so an expiry reads at stage scope here;
+    /// the flow names the whole-run budget when that is the one that ran
+    /// out.
+    pub(crate) fn aborted(stage: FlowStage, reason: AbortReason) -> Self {
+        match reason {
+            AbortReason::Cancelled => FlowError::Cancelled { stage },
+            AbortReason::DeadlineExceeded => FlowError::DeadlineExceeded {
+                stage,
+                scope: DeadlineScope::Stage,
+            },
         }
     }
 

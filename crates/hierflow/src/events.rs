@@ -10,10 +10,9 @@
 
 use std::fmt;
 
-use exec::AbortReason;
+use evalcache::EvalCache;
+use exec::PoolStats;
 use serde::{Deserialize, Serialize};
-
-use crate::error::FlowError;
 
 /// The five stages of the hierarchical flow (paper Fig 4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -437,20 +436,41 @@ impl FlowEvents {
             .collect()
     }
 
-    /// Records a supervised batch of `stage` that stopped early and
-    /// returns the resumable error the stage surfaces. The batch
-    /// deadline is reported at stage scope.
-    pub(crate) fn record_abort(&mut self, stage: FlowStage, reason: AbortReason) -> FlowError {
-        match reason {
-            AbortReason::Cancelled => {
-                self.push(FlowEvent::RunCancelled { stage });
-                FlowError::Cancelled { stage }
-            }
-            AbortReason::DeadlineExceeded => {
-                let scope = DeadlineScope::Stage;
-                self.push(FlowEvent::BudgetExhausted { stage, scope });
-                FlowError::DeadlineExceeded { stage, scope }
-            }
+    /// Records the scheduling statistics of one supervised batch of
+    /// `stage` (of Pareto point `point`, when the batch belongs to one).
+    pub(crate) fn record_pool(
+        &mut self,
+        stage: FlowStage,
+        point: Option<usize>,
+        stats: &PoolStats,
+    ) {
+        self.push(FlowEvent::PoolBatch {
+            stage,
+            point,
+            tasks: stats.tasks,
+            workers: stats.workers,
+            per_worker: stats.per_worker.clone(),
+            stolen: stats.stolen,
+            retries: stats.retries,
+            timeouts: stats.timeouts,
+        });
+    }
+
+    /// Snapshots an evaluation cache's counters after `stage`'s work;
+    /// records nothing when the stage ran without a cache.
+    pub(crate) fn record_cache<V>(&mut self, stage: FlowStage, cache: Option<&EvalCache<V>>)
+    where
+        V: Clone + Serialize + Deserialize,
+    {
+        if let Some(cache) = cache {
+            let s = cache.stats();
+            self.push(FlowEvent::CacheStats {
+                stage,
+                hits: s.hits,
+                misses: s.misses,
+                disk_hits: s.disk_hits,
+                evictions: s.evictions,
+            });
         }
     }
 

@@ -11,15 +11,16 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::Instant;
 
 use behavioral::spec::PllSpec;
 use behavioral::timesim::LockSimConfig;
 use evalcache::{EvalCache, KeyQuantiser};
-use exec::{AbortReason, CancelToken, Deadline, ExecPolicy, PoolStats, RunBudget};
+use exec::{CancelToken, Deadline, ExecPolicy, RunBudget};
 use moea::nsga2::{run_nsga2_cached, Nsga2Config};
 use moea::problem::{Evaluation, Individual};
 use netlist::topology::VcoSizing;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use variation::mc::{McConfig, MonteCarlo};
 use variation::process::ProcessSpec;
 use variation::yields::RiskObjective;
@@ -360,8 +361,9 @@ impl HierarchicalFlow {
     /// # Errors
     ///
     /// As [`HierarchicalFlow::run`]; additionally
-    /// [`FlowError::Checkpoint`] when the directory is unusable, holds
-    /// a corrupt artifact, or was produced by a different configuration.
+    /// [`FlowError::Checkpoint`] when the directory is unusable or was
+    /// produced by a different configuration. A corrupt artifact is no
+    /// error: it is quarantined and its stage recomputed.
     pub fn run_with_checkpoints<P: AsRef<Path>>(&self, dir: P) -> Result<FlowReport, FlowError> {
         let run_dir = RunDir::create(dir)?;
         if let Some(aside) = run_dir.ensure_manifest(self.config.digest())? {
@@ -427,39 +429,6 @@ impl HierarchicalFlow {
 
     fn execute_stages(&self, dir: Option<&RunDir>) -> Result<FlowReport, FlowError> {
         let cfg = &self.config;
-        let mut events = match dir {
-            Some(d) => match d.load_or_quarantine::<FlowEvents>(checkpoint::EVENTS_FILE) {
-                LoadOutcome::Loaded(ev) => ev,
-                LoadOutcome::Absent => FlowEvents::new(),
-                // A smashed event log loses history, never the run: start
-                // a fresh log whose first entry records the loss.
-                LoadOutcome::Quarantined { reason, .. } => {
-                    let mut ev = FlowEvents::new();
-                    ev.push(FlowEvent::CheckpointCorrupt {
-                        stage: None,
-                        file: checkpoint::EVENTS_FILE.to_string(),
-                        reason,
-                    });
-                    ev
-                }
-            },
-            None => FlowEvents::new(),
-        };
-
-        // A stage failure must not lose the event log: persist it
-        // best-effort before surfacing the error.
-        macro_rules! bail_on_err {
-            ($result:expr) => {
-                match $result {
-                    Ok(v) => v,
-                    Err(e) => {
-                        let _ = persist_events(dir, &events);
-                        return Err(e);
-                    }
-                }
-            };
-        }
-
         // The whole-run deadline starts ticking here; each stage's
         // batch deadline is the earlier of its own stage budget and
         // whatever remains of the run budget.
@@ -472,61 +441,7 @@ impl HierarchicalFlow {
             cancel: self.cancel.clone(),
             retry: cfg.budget.retry,
         };
-
-        // An aborted supervised batch becomes a resumable flow error,
-        // with the interruption recorded (and persisted) first.
-        macro_rules! bail_abort {
-            ($result:expr, $stage:expr) => {
-                match $result {
-                    Ok(v) => v,
-                    Err(AbortReason::Cancelled) => {
-                        events.push(FlowEvent::RunCancelled { stage: $stage });
-                        let _ = persist_events(dir, &events);
-                        return Err(FlowError::Cancelled { stage: $stage });
-                    }
-                    Err(AbortReason::DeadlineExceeded) => {
-                        let scope = if run_deadline.is_some_and(|d| d.expired()) {
-                            DeadlineScope::Run
-                        } else {
-                            DeadlineScope::Stage
-                        };
-                        events.push(FlowEvent::BudgetExhausted {
-                            stage: $stage,
-                            scope,
-                        });
-                        let _ = persist_events(dir, &events);
-                        return Err(FlowError::DeadlineExceeded {
-                            stage: $stage,
-                            scope,
-                        });
-                    }
-                }
-            };
-        }
-
-        // Cancellation and the run budget are also polled between
-        // stages, so a token fired during a non-supervised section
-        // still stops the run at the next stage boundary.
-        macro_rules! check_interrupt {
-            ($stage:expr) => {
-                if self.cancel.poll() {
-                    events.push(FlowEvent::RunCancelled { stage: $stage });
-                    let _ = persist_events(dir, &events);
-                    return Err(FlowError::Cancelled { stage: $stage });
-                }
-                if run_deadline.is_some_and(|d| d.expired()) {
-                    events.push(FlowEvent::BudgetExhausted {
-                        stage: $stage,
-                        scope: DeadlineScope::Run,
-                    });
-                    let _ = persist_events(dir, &events);
-                    return Err(FlowError::DeadlineExceeded {
-                        stage: $stage,
-                        scope: DeadlineScope::Run,
-                    });
-                }
-            };
-        }
+        let mut runner = StageRunner::new(dir, &self.cancel, run_deadline);
 
         // Evaluation memo caches (opt-in, bit-identical): one for the
         // stage-1 GA's objective evaluations, one for the stage-2
@@ -545,297 +460,134 @@ impl HierarchicalFlow {
         let char_cache: Option<EvalCache<Vec<f64>>> =
             cache_on.then(|| build_cache(&cfg.cache, quantiser, config_dig, "char", dir));
 
-        // Snapshots a cache's counters into the event log after a
-        // stage's batch of work.
-        macro_rules! record_cache {
-            ($stage:expr, $cache:expr) => {
-                if let Some(c) = $cache {
-                    let s = c.stats();
-                    events.push(FlowEvent::CacheStats {
-                        stage: $stage,
-                        hits: s.hits,
-                        misses: s.misses,
-                        disk_hits: s.disk_hits,
-                        evictions: s.evictions,
-                    });
-                }
-            };
-        }
-
-        // Records a GA stage's aggregated pool statistics.
-        macro_rules! record_pool {
-            ($stage:expr, $stats:expr) => {{
-                let stats: &PoolStats = $stats;
-                events.push(FlowEvent::PoolBatch {
-                    stage: $stage,
-                    point: None,
-                    tasks: stats.tasks,
-                    workers: stats.workers,
-                    per_worker: stats.per_worker.clone(),
-                    stolen: stats.stolen,
-                    retries: stats.retries,
-                    timeouts: stats.timeouts,
-                });
-            }};
-        }
-
-        // Wraps one stage in a telemetry span and an always-on wall
-        // clock. The clock is plain `Instant` arithmetic — it reads no
-        // RNG and feeds nothing back into the stages, so results stay
-        // bit-identical whether or not anyone looks at the timings.
-        let mut stage_wall: Vec<telemetry::report::StageProfile> = Vec::new();
-        macro_rules! timed_stage {
-            ($stage:expr, $body:expr) => {{
-                let _stage_span = telemetry::span("stage").attr("stage", $stage.name());
-                let stage_start = std::time::Instant::now();
-                let value = $body;
-                stage_wall.push(telemetry::report::StageProfile {
-                    stage: $stage.name().to_string(),
-                    wall_us: stage_start.elapsed().as_micros() as u64,
-                });
-                value
-            }};
-        }
-
         // Stage 1: circuit-level multi-objective sizing, with the
         // system band propagated down as coverage constraints (Fig 3).
         let mut circuit_evaluations_this_run = 0;
-        let stage1 = timed_stage!(
-            FlowStage::CircuitOpt,
-            match load_artifact::<Stage1Artifact>(
-                dir,
-                checkpoint::STAGE1_FRONT,
-                FlowStage::CircuitOpt,
-                &mut events,
-            )? {
-                Some(artifact) => artifact,
-                None => {
-                    check_interrupt!(FlowStage::CircuitOpt);
-                    events.push(FlowEvent::StageStarted {
-                        stage: FlowStage::CircuitOpt,
-                    });
-                    let problem = VcoSizingProblem::with_band(
-                        cfg.testbench.clone(),
-                        cfg.spec.f_out_min,
-                        cfg.spec.f_out_max,
-                    );
-                    let result = bail_abort!(
-                        run_nsga2_cached(
-                            &problem,
-                            &cfg.circuit_ga,
-                            &[],
-                            &stage_policy(),
-                            circuit_cache.as_ref(),
-                        ),
-                        FlowStage::CircuitOpt
-                    );
-                    record_pool!(FlowStage::CircuitOpt, &result.pool);
-                    record_cache!(FlowStage::CircuitOpt, &circuit_cache);
-                    circuit_evaluations_this_run = result.evaluations;
-                    let mut front = result.pareto_front();
-                    if front.is_empty() {
-                        let _ = persist_events(dir, &events);
-                        return Err(FlowError::stage(
-                            FlowStage::CircuitOpt.name(),
-                            "circuit-level optimisation produced no feasible designs",
-                        ));
-                    }
-                    thin_front(&mut front, cfg.max_char_points);
-                    events.push(FlowEvent::StageFinished {
-                        stage: FlowStage::CircuitOpt,
-                    });
-                    let artifact = Stage1Artifact {
-                        front,
-                        evaluations: result.evaluations,
-                    };
-                    bail_on_err!(save_artifact(
-                        dir,
-                        checkpoint::STAGE1_FRONT,
-                        FlowStage::CircuitOpt,
-                        &artifact,
-                        &mut events,
+        let stage1: Stage1Artifact =
+            runner.checkpointed(FlowStage::CircuitOpt, checkpoint::STAGE1_FRONT, |events| {
+                let problem = VcoSizingProblem::with_band(
+                    cfg.testbench.clone(),
+                    cfg.spec.f_out_min,
+                    cfg.spec.f_out_max,
+                );
+                let result = run_nsga2_cached(
+                    &problem,
+                    &cfg.circuit_ga,
+                    &[],
+                    &stage_policy(),
+                    circuit_cache.as_ref(),
+                )
+                .map_err(|reason| FlowError::aborted(FlowStage::CircuitOpt, reason))?;
+                events.record_pool(FlowStage::CircuitOpt, None, &result.pool);
+                events.record_cache(FlowStage::CircuitOpt, circuit_cache.as_ref());
+                circuit_evaluations_this_run = result.evaluations;
+                let mut front = result.pareto_front();
+                if front.is_empty() {
+                    return Err(FlowError::stage(
+                        FlowStage::CircuitOpt.name(),
+                        "circuit-level optimisation produced no feasible designs",
                     ));
-                    artifact
                 }
-            }
-        );
-        bail_on_err!(persist_events(dir, &events));
+                thin_front(&mut front, cfg.max_char_points);
+                Ok(Stage1Artifact {
+                    front,
+                    evaluations: result.evaluations,
+                })
+            })?;
 
         // Stage 2: Monte-Carlo characterisation of the front, under the
         // configured degradation policy.
         let engine = MonteCarlo::new(cfg.process);
-        let characterized = timed_stage!(
+        let characterized: CharacterizedFront = runner.checkpointed(
             FlowStage::Characterize,
-            match load_artifact::<CharacterizedFront>(
-                dir,
-                checkpoint::STAGE2_CHARACTERIZED,
-                FlowStage::Characterize,
-                &mut events,
-            )? {
-                Some(artifact) => artifact,
-                None => {
-                    check_interrupt!(FlowStage::Characterize);
-                    events.push(FlowEvent::StageStarted {
-                        stage: FlowStage::Characterize,
-                    });
-                    let characterized = bail_on_err!(characterize_front_cached(
-                        &stage1.front,
-                        &cfg.testbench,
-                        &engine,
-                        &cfg.char_mc,
-                        cfg.degrade,
-                        self.faults.as_ref(),
-                        &stage_policy(),
-                        char_cache.as_ref(),
-                        &mut events,
-                    ));
-                    record_cache!(FlowStage::Characterize, &char_cache);
-                    events.push(FlowEvent::StageFinished {
-                        stage: FlowStage::Characterize,
-                    });
-                    bail_on_err!(save_artifact(
-                        dir,
-                        checkpoint::STAGE2_CHARACTERIZED,
-                        FlowStage::Characterize,
-                        &characterized,
-                        &mut events,
-                    ));
-                    characterized
-                }
-            }
-        );
-        bail_on_err!(persist_events(dir, &events));
+            checkpoint::STAGE2_CHARACTERIZED,
+            |events| {
+                let characterized = characterize_front_cached(
+                    &stage1.front,
+                    &cfg.testbench,
+                    &engine,
+                    &cfg.char_mc,
+                    cfg.degrade,
+                    self.faults.as_ref(),
+                    &stage_policy(),
+                    char_cache.as_ref(),
+                    events,
+                )?;
+                events.record_cache(FlowStage::Characterize, char_cache.as_ref());
+                Ok(characterized)
+            },
+        )?;
 
         // Stage 3: the combined performance + variation model. Rebuilt
         // every run — cheap, and its spline internals do not serialise.
-        let model = timed_stage!(FlowStage::Model, {
-            events.push(FlowEvent::StageStarted {
-                stage: FlowStage::Model,
-            });
-            let model = Arc::new(bail_on_err!(PerfVariationModel::from_front(&characterized)));
-            events.push(FlowEvent::StageFinished {
-                stage: FlowStage::Model,
-            });
-            model
-        });
+        let model = runner.run(FlowStage::Model, |r| {
+            r.compute(FlowStage::Model, |_| {
+                PerfVariationModel::from_front(&characterized).map(Arc::new)
+            })
+        })?;
 
         // Stage 4: system-level optimisation with the model in the loop.
         let system_problem =
             PllSystemProblem::new(Arc::clone(&model), cfg.arch, cfg.spec, cfg.lock_sim)
                 .with_risk(cfg.risk);
-        let stage4 = timed_stage!(
-            FlowStage::SystemOpt,
-            match load_artifact::<Stage4Artifact>(
-                dir,
-                checkpoint::STAGE4_SYSTEM,
-                FlowStage::SystemOpt,
-                &mut events,
-            )? {
-                Some(artifact) => artifact,
-                None => {
-                    check_interrupt!(FlowStage::SystemOpt);
-                    events.push(FlowEvent::StageStarted {
-                        stage: FlowStage::SystemOpt,
-                    });
-                    // Model-based evaluations are cheap; the memo cache is
-                    // reserved for the transistor-level stages.
-                    let system_result = bail_abort!(
-                        run_nsga2_cached(
-                            &system_problem,
-                            &cfg.system_ga,
-                            &system_problem.warm_start_seeds(),
-                            &stage_policy(),
-                            None,
-                        ),
-                        FlowStage::SystemOpt
-                    );
-                    record_pool!(FlowStage::SystemOpt, &system_result.pool);
-                    let system_front = system_result.pareto_front();
-                    let rows: Vec<SystemSolution> = system_front
-                        .iter()
-                        .filter_map(|ind| system_problem.detail(&ind.x).ok())
-                        .collect();
-                    events.push(FlowEvent::StageFinished {
-                        stage: FlowStage::SystemOpt,
-                    });
-                    let artifact = Stage4Artifact {
-                        front: system_front,
-                        rows,
-                        evaluations: system_result.evaluations,
-                    };
-                    bail_on_err!(save_artifact(
-                        dir,
-                        checkpoint::STAGE4_SYSTEM,
-                        FlowStage::SystemOpt,
-                        &artifact,
-                        &mut events,
-                    ));
-                    artifact
-                }
-            }
-        );
-        bail_on_err!(persist_events(dir, &events));
+        let stage4: Stage4Artifact =
+            runner.checkpointed(FlowStage::SystemOpt, checkpoint::STAGE4_SYSTEM, |events| {
+                // Model-based evaluations are cheap; the memo cache is
+                // reserved for the transistor-level stages.
+                let result = run_nsga2_cached(
+                    &system_problem,
+                    &cfg.system_ga,
+                    &system_problem.warm_start_seeds(),
+                    &stage_policy(),
+                    None,
+                )
+                .map_err(|reason| FlowError::aborted(FlowStage::SystemOpt, reason))?;
+                events.record_pool(FlowStage::SystemOpt, None, &result.pool);
+                let front = result.pareto_front();
+                let rows = front
+                    .iter()
+                    .filter_map(|ind| system_problem.detail(&ind.x).ok())
+                    .collect();
+                Ok(Stage4Artifact {
+                    front,
+                    rows,
+                    evaluations: result.evaluations,
+                })
+            })?;
 
         // Stage 5: spec propagation with verification-in-the-loop
         // (Fig 3's two-way arrows), then bottom-up Monte Carlo.
-        let stage5 = timed_stage!(
-            FlowStage::Verify,
-            match load_artifact::<Stage5Artifact>(
-                dir,
-                checkpoint::STAGE5_SELECTED,
-                FlowStage::Verify,
-                &mut events,
-            )? {
-                Some(artifact) => artifact,
-                None => {
-                    check_interrupt!(FlowStage::Verify);
-                    events.push(FlowEvent::StageStarted {
-                        stage: FlowStage::Verify,
-                    });
-                    let picked = bail_on_err!(select_verified_design(
-                        &system_problem,
-                        &stage4.front,
-                        &model,
-                        &cfg.testbench,
-                        &cfg.arch,
-                        &cfg.spec,
-                        &cfg.lock_sim,
-                        12,
-                        &mut events,
-                    ));
-                    let verification = bail_on_err!(verify_design(
-                        &picked.sizing,
-                        (picked.solution.c1, picked.solution.c2, picked.solution.r1),
-                        &cfg.testbench,
-                        &cfg.arch,
-                        &cfg.spec,
-                        &engine,
-                        &cfg.verify_mc,
-                        &cfg.lock_sim,
-                        &stage_policy(),
-                        &mut events,
-                    ));
-                    events.push(FlowEvent::StageFinished {
-                        stage: FlowStage::Verify,
-                    });
-                    let artifact = Stage5Artifact {
-                        x: picked.x,
-                        solution: picked.solution,
-                        sizing: picked.sizing,
-                        verification,
-                    };
-                    bail_on_err!(save_artifact(
-                        dir,
-                        checkpoint::STAGE5_SELECTED,
-                        FlowStage::Verify,
-                        &artifact,
-                        &mut events,
-                    ));
-                    artifact
-                }
-            }
-        );
-        bail_on_err!(persist_events(dir, &events));
+        let stage5: Stage5Artifact =
+            runner.checkpointed(FlowStage::Verify, checkpoint::STAGE5_SELECTED, |events| {
+                let picked = select_verified_design(
+                    &system_problem,
+                    &stage4.front,
+                    &model,
+                    &cfg.testbench,
+                    &cfg.arch,
+                    &cfg.spec,
+                    &cfg.lock_sim,
+                    12,
+                    events,
+                )?;
+                let verification = verify_design(
+                    &picked.sizing,
+                    (picked.solution.c1, picked.solution.c2, picked.solution.r1),
+                    &cfg.testbench,
+                    &cfg.arch,
+                    &cfg.spec,
+                    &engine,
+                    &cfg.verify_mc,
+                    &cfg.lock_sim,
+                    &stage_policy(),
+                )?;
+                Ok(Stage5Artifact {
+                    x: picked.x,
+                    solution: picked.solution,
+                    sizing: picked.sizing,
+                    verification,
+                })
+            })?;
 
         Ok(FlowReport {
             front: characterized,
@@ -847,10 +599,181 @@ impl HierarchicalFlow {
             circuit_evaluations: stage1.evaluations,
             circuit_evaluations_this_run,
             system_evaluations: stage4.evaluations,
-            events,
-            stage_wall,
+            events: runner.events,
+            stage_wall: runner.stage_wall,
             profile: None,
         })
+    }
+}
+
+/// Drives each stage of a run through one lifecycle: checkpoint reuse,
+/// the interruption poll, the `StageStarted`/`StageFinished` records,
+/// the checkpoint save, the stage's telemetry span and wall clock, and
+/// a persisted event log however the stage ends. It is the only place
+/// that records an interruption.
+struct StageRunner<'a> {
+    dir: Option<&'a RunDir>,
+    cancel: &'a CancelToken,
+    run_deadline: Option<Deadline>,
+    events: FlowEvents,
+    stage_wall: Vec<telemetry::report::StageProfile>,
+}
+
+impl<'a> StageRunner<'a> {
+    /// Starts from the event log a previous run left in `dir`, so a
+    /// resumed run appends to its history.
+    fn new(
+        dir: Option<&'a RunDir>,
+        cancel: &'a CancelToken,
+        run_deadline: Option<Deadline>,
+    ) -> Self {
+        let previous = dir.map(|d| d.load_or_quarantine(checkpoint::EVENTS_FILE));
+        let events = match previous {
+            Some(LoadOutcome::Loaded(events)) => events,
+            Some(LoadOutcome::Absent) | None => FlowEvents::new(),
+            // A smashed event log loses history, never the run: start
+            // a fresh log whose first entry records the loss.
+            Some(LoadOutcome::Quarantined { reason, .. }) => {
+                let mut events = FlowEvents::new();
+                events.push(FlowEvent::CheckpointCorrupt {
+                    stage: None,
+                    file: checkpoint::EVENTS_FILE.to_string(),
+                    reason,
+                });
+                events
+            }
+        };
+        StageRunner {
+            dir,
+            cancel,
+            run_deadline,
+            events,
+            stage_wall: Vec::new(),
+        }
+    }
+
+    /// Runs one stage: `body` loads or computes it inside the stage's
+    /// telemetry span and always-on wall clock, and the event log is
+    /// persisted however it ends. The clock is plain `Instant`
+    /// arithmetic that feeds nothing back into the stages, so results
+    /// stay bit-identical whether or not anyone reads the timings.
+    fn run<T>(
+        &mut self,
+        stage: FlowStage,
+        body: impl FnOnce(&mut Self) -> Result<T, FlowError>,
+    ) -> Result<T, FlowError> {
+        let result = {
+            let _stage_span = telemetry::span("stage").attr("stage", stage.name());
+            let stage_start = Instant::now();
+            let result = body(self).map_err(|e| self.record_interruption(e));
+            self.stage_wall.push(telemetry::report::StageProfile {
+                stage: stage.name().to_string(),
+                wall_us: stage_start.elapsed().as_micros() as u64,
+            });
+            result
+        };
+        let persisted = self
+            .dir
+            .map_or(Ok(()), |d| d.save(checkpoint::EVENTS_FILE, &self.events));
+        // A stage's own error outranks a failed write of the log.
+        let value = result?;
+        persisted?;
+        Ok(value)
+    }
+
+    /// Runs a checkpointed stage. An artifact that loads from the run
+    /// directory is reused. A present-but-corrupt one (a torn write that
+    /// dodged the atomic rename, or real disk trouble) is quarantined
+    /// and recorded as a [`FlowEvent::CheckpointCorrupt`], and the stage
+    /// recomputed: resume degrades, it never refuses to run and never
+    /// builds a report from half-trusted bytes. A computed stage first
+    /// polls the cancel token and the run budget, so a token fired
+    /// during a non-supervised section still stops the run at the next
+    /// stage boundary; its artifact is saved once it finishes.
+    fn checkpointed<T: Serialize + Deserialize>(
+        &mut self,
+        stage: FlowStage,
+        file: &str,
+        work: impl FnOnce(&mut FlowEvents) -> Result<T, FlowError>,
+    ) -> Result<T, FlowError> {
+        self.run(stage, |r| {
+            if let Some(d) = r.dir {
+                match d.load_or_quarantine::<T>(file) {
+                    LoadOutcome::Loaded(value) => {
+                        r.events.push(FlowEvent::CheckpointLoaded {
+                            stage,
+                            file: file.to_string(),
+                        });
+                        return Ok(value);
+                    }
+                    LoadOutcome::Absent => {}
+                    LoadOutcome::Quarantined { reason, .. } => {
+                        r.events.push(FlowEvent::CheckpointCorrupt {
+                            stage: Some(stage),
+                            file: file.to_string(),
+                            reason,
+                        });
+                    }
+                }
+            }
+            if r.cancel.poll() {
+                return Err(FlowError::Cancelled { stage });
+            }
+            if r.run_deadline.is_some_and(|d| d.expired()) {
+                return Err(FlowError::DeadlineExceeded {
+                    stage,
+                    scope: DeadlineScope::Run,
+                });
+            }
+            let value = r.compute(stage, work)?;
+            if let Some(d) = r.dir {
+                d.save(file, &value)?;
+                r.events.push(FlowEvent::CheckpointSaved {
+                    stage,
+                    file: file.to_string(),
+                });
+            }
+            Ok(value)
+        })
+    }
+
+    /// Computes a stage's `work` between its `StageStarted` and
+    /// `StageFinished` records.
+    fn compute<T>(
+        &mut self,
+        stage: FlowStage,
+        work: impl FnOnce(&mut FlowEvents) -> Result<T, FlowError>,
+    ) -> Result<T, FlowError> {
+        self.events.push(FlowEvent::StageStarted { stage });
+        let value = work(&mut self.events)?;
+        self.events.push(FlowEvent::StageFinished { stage });
+        Ok(value)
+    }
+
+    /// Records a cancellation or an expired budget and returns the
+    /// error the run surfaces; any other error passes through
+    /// unrecorded. A stage only sees its batch deadline, the earlier of
+    /// the stage and run budgets, so it reports an expiry at stage
+    /// scope; the record names the whole-run budget when that one has
+    /// expired.
+    fn record_interruption(&mut self, error: FlowError) -> FlowError {
+        match error {
+            FlowError::Cancelled { stage } => {
+                self.events.push(FlowEvent::RunCancelled { stage });
+                FlowError::Cancelled { stage }
+            }
+            FlowError::DeadlineExceeded { stage, scope } => {
+                let scope = if self.run_deadline.is_some_and(|d| d.expired()) {
+                    DeadlineScope::Run
+                } else {
+                    scope
+                };
+                self.events
+                    .push(FlowEvent::BudgetExhausted { stage, scope });
+                FlowError::DeadlineExceeded { stage, scope }
+            }
+            other => other,
+        }
     }
 }
 
@@ -882,72 +805,6 @@ fn build_cache<V: Clone + serde::Serialize + serde::Deserialize>(
             .with_disk(&path)
             .unwrap_or_else(|_| EvalCache::new(cfg.capacity, quantiser, digest)),
         None => cache,
-    }
-}
-
-/// Loads a stage artifact from the run directory (when checkpointing is
-/// active and the file exists), recording the reuse in the event log. A
-/// present-but-corrupt artifact — truncated by a torn write that dodged
-/// the atomic rename, or smashed by real disk trouble — is quarantined
-/// and recorded as a [`FlowEvent::CheckpointCorrupt`], and the stage is
-/// recomputed: resume degrades, it never refuses to run and never
-/// builds a report from half-trusted bytes. The `Result` is kept for
-/// call-site symmetry with [`save_artifact`]; it is currently always
-/// `Ok`.
-fn load_artifact<T: serde::Deserialize>(
-    dir: Option<&RunDir>,
-    file: &str,
-    stage: FlowStage,
-    events: &mut FlowEvents,
-) -> Result<Option<T>, FlowError> {
-    let Some(d) = dir else {
-        return Ok(None);
-    };
-    match d.load_or_quarantine::<T>(file) {
-        LoadOutcome::Loaded(value) => {
-            events.push(FlowEvent::CheckpointLoaded {
-                stage,
-                file: file.to_string(),
-            });
-            Ok(Some(value))
-        }
-        LoadOutcome::Absent => Ok(None),
-        LoadOutcome::Quarantined { reason, .. } => {
-            events.push(FlowEvent::CheckpointCorrupt {
-                stage: Some(stage),
-                file: file.to_string(),
-                reason,
-            });
-            Ok(None)
-        }
-    }
-}
-
-/// Saves a stage artifact to the run directory (when checkpointing is
-/// active), recording the write in the event log.
-fn save_artifact<T: serde::Serialize>(
-    dir: Option<&RunDir>,
-    file: &str,
-    stage: FlowStage,
-    value: &T,
-    events: &mut FlowEvents,
-) -> Result<(), FlowError> {
-    if let Some(d) = dir {
-        d.save(file, value)?;
-        events.push(FlowEvent::CheckpointSaved {
-            stage,
-            file: file.to_string(),
-        });
-    }
-    Ok(())
-}
-
-/// Persists the event log to the run directory (when checkpointing is
-/// active), so interrupted runs keep their history.
-fn persist_events(dir: Option<&RunDir>, events: &FlowEvents) -> Result<(), FlowError> {
-    match dir {
-        Some(d) => d.save(checkpoint::EVENTS_FILE, events),
-        None => Ok(()),
     }
 }
 

@@ -1,10 +1,8 @@
 //! Spec propagation: selecting the system-level solution and backing it
 //! out to transistor dimensions (top-down step of Fig 3).
 
-use behavioral::jitter::pll_jitter_sum;
-use behavioral::params::{PllParams, PLL_FIXED_CURRENT};
-use behavioral::spec::{PllPerformance, PllSpec};
-use behavioral::timesim::{lock_times, LockSimConfig};
+use behavioral::spec::PllSpec;
+use behavioral::timesim::LockSimConfig;
 use moea::problem::Individual;
 use netlist::topology::VcoSizing;
 
@@ -13,6 +11,7 @@ use crate::events::{FlowEvent, FlowEvents, FlowStage};
 use crate::model::PerfVariationModel;
 use crate::system_opt::{PllArchitecture, PllSystemProblem, SystemSolution};
 use crate::vco_eval::{VcoPerf, VcoTestbench};
+use crate::verify::pll_performance;
 
 /// Backs a selected system solution out to transistor dimensions.
 ///
@@ -135,33 +134,8 @@ pub fn select_verified_design(
             }
         };
         // Re-run the behavioural PLL on the actual performance.
-        let params = PllParams {
-            fref: arch.fref,
-            divider: arch.divider,
-            icp: arch.icp,
-            c1: solution.c1,
-            c2: solution.c2,
-            r1: solution.r1,
-            kvco: actual.kvco,
-            f0: 0.5 * (actual.fmin + actual.fmax),
-            vctrl_ref: 0.5 * (arch.vctrl_lo + arch.vctrl_hi),
-            fmin: actual.fmin,
-            fmax: actual.fmax,
-            ivco: actual.ivco,
-            jvco: actual.jvco,
-        };
-        let lock_time = match lock_times(&[params], sim_cfg) {
-            Ok([t]) => t.unwrap_or(f64::INFINITY),
-            Err(_) => f64::INFINITY,
-        };
-        let perf = PllPerformance {
-            fmin: actual.fmin,
-            fmax: actual.fmax,
-            lock_time,
-            jitter: pll_jitter_sum(actual.jvco, arch.divider),
-            current: actual.ivco + PLL_FIXED_CURRENT,
-        };
-        let violations = spec.violations(&perf);
+        let filter = (solution.c1, solution.c2, solution.r1);
+        let violations = spec.violations(&pll_performance(&actual, filter, arch, sim_cfg));
         if violations.is_empty() {
             return Ok(VerifiedSelection {
                 x,

@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 use variation::mc::{McConfig, MonteCarlo};
 
 use crate::error::FlowError;
-use crate::events::{FlowEvents, FlowStage};
+use crate::events::FlowStage;
 use crate::system_opt::PllArchitecture;
 use crate::vco_eval::{VcoPerf, VcoTestbench};
 
@@ -41,15 +41,16 @@ pub struct VerificationReport {
 /// checked against the spec.
 ///
 /// The samples run under `exec`: a fired cancel token or an expired
-/// batch deadline stops the Monte Carlo at the next sample claim, and
-/// the interruption is recorded in `events`.
+/// batch deadline stops the Monte Carlo at the next sample claim and
+/// returns the interruption without recording it; the caller owns that
+/// record.
 ///
 /// # Errors
 ///
 /// Returns [`FlowError::Stage`] when every sample fails to evaluate
 /// (the design is broken, not merely low-yield), and
-/// [`FlowError::Cancelled`] or [`FlowError::DeadlineExceeded`] when
-/// `exec` stops the run.
+/// [`FlowError::Cancelled`] or [`FlowError::DeadlineExceeded`] (at
+/// stage scope) when `exec` stops the run.
 #[allow(clippy::too_many_arguments)]
 pub fn verify_design(
     sizing: &VcoSizing,
@@ -61,9 +62,7 @@ pub fn verify_design(
     mc: &McConfig,
     sim_cfg: &LockSimConfig,
     exec: &ExecPolicy,
-    events: &mut FlowEvents,
 ) -> Result<VerificationReport, FlowError> {
-    let (c1, c2, r1) = filter;
     let ring = testbench.build(sizing);
     let run = engine.run_supervised(&ring.circuit, mc, exec, |_i, perturbed| {
         testbench
@@ -72,7 +71,7 @@ pub fn verify_design(
             .map_err(|_| TaskFailure::permanent("evaluation failed"))
     });
     if let Some(reason) = run.aborted {
-        return Err(events.record_abort(FlowStage::Verify, reason));
+        return Err(FlowError::aborted(FlowStage::Verify, reason));
     }
     if run.accepted == 0 {
         return Err(FlowError::stage(
@@ -81,39 +80,12 @@ pub fn verify_design(
         ));
     }
 
-    let vctrl_ref = 0.5 * (arch.vctrl_lo + arch.vctrl_hi);
     let mut passed = 0usize;
     let mut vco_samples = Vec::with_capacity(run.accepted);
     for row in &run.metrics {
         let perf = VcoPerf::from_array(row);
         vco_samples.push(perf);
-        let params = PllParams {
-            fref: arch.fref,
-            divider: arch.divider,
-            icp: arch.icp,
-            c1,
-            c2,
-            r1,
-            kvco: perf.kvco,
-            f0: 0.5 * (perf.fmin + perf.fmax),
-            vctrl_ref,
-            fmin: perf.fmin,
-            fmax: perf.fmax,
-            ivco: perf.ivco,
-            jvco: perf.jvco,
-        };
-        let lock_time = match lock_times(&[params], sim_cfg) {
-            Ok([t]) => t.unwrap_or(f64::INFINITY),
-            Err(_) => f64::INFINITY,
-        };
-        let pll_perf = PllPerformance {
-            fmin: perf.fmin,
-            fmax: perf.fmax,
-            lock_time,
-            jitter: pll_jitter_sum(perf.jvco, arch.divider),
-            current: perf.ivco + PLL_FIXED_CURRENT,
-        };
-        if spec.passes(&pll_perf) {
+        if spec.passes(&pll_performance(&perf, filter, arch, sim_cfg)) {
             passed += 1;
         }
     }
@@ -130,6 +102,44 @@ pub fn verify_design(
         vco_samples,
         evaluation_failures: run.failed,
     })
+}
+
+/// The PLL performance of a measured VCO `perf` in `arch` with the loop
+/// filter `(c1, c2, r1)`: one behavioural lock simulation, in which a
+/// loop that never locks counts as an infinite lock time, plus the
+/// divided jitter and the total current.
+pub(crate) fn pll_performance(
+    perf: &VcoPerf,
+    (c1, c2, r1): (f64, f64, f64),
+    arch: &PllArchitecture,
+    sim_cfg: &LockSimConfig,
+) -> PllPerformance {
+    let params = PllParams {
+        fref: arch.fref,
+        divider: arch.divider,
+        icp: arch.icp,
+        c1,
+        c2,
+        r1,
+        kvco: perf.kvco,
+        f0: 0.5 * (perf.fmin + perf.fmax),
+        vctrl_ref: 0.5 * (arch.vctrl_lo + arch.vctrl_hi),
+        fmin: perf.fmin,
+        fmax: perf.fmax,
+        ivco: perf.ivco,
+        jvco: perf.jvco,
+    };
+    let lock_time = match lock_times(&[params], sim_cfg) {
+        Ok([t]) => t.unwrap_or(f64::INFINITY),
+        Err(_) => f64::INFINITY,
+    };
+    PllPerformance {
+        fmin: perf.fmin,
+        fmax: perf.fmax,
+        lock_time,
+        jitter: pll_jitter_sum(perf.jvco, arch.divider),
+        current: perf.ivco + PLL_FIXED_CURRENT,
+    }
 }
 
 #[cfg(test)]
@@ -173,7 +183,6 @@ mod tests {
             &mc,
             &LockSimConfig::default(),
             &ExecPolicy::default(),
-            &mut FlowEvents::new(),
         )
         .unwrap();
         assert_eq!(report.total, 8);
@@ -213,7 +222,6 @@ mod tests {
             &mc,
             &LockSimConfig::default(),
             &ExecPolicy::default(),
-            &mut FlowEvents::new(),
         )
         .unwrap();
         assert_eq!(report.passed, 0);
@@ -228,7 +236,6 @@ mod tests {
         };
         let token = exec::CancelToken::new();
         token.cancel();
-        let mut events = FlowEvents::new();
         let started = std::time::Instant::now();
         let err = verify_design(
             &VcoSizing::nominal(),
@@ -240,12 +247,10 @@ mod tests {
             &mc,
             &LockSimConfig::default(),
             &ExecPolicy::default().with_cancel(token),
-            &mut events,
         )
         .unwrap_err();
         let stage = FlowStage::Verify;
         assert_eq!(err, FlowError::Cancelled { stage });
-        assert!(events.interrupted(), "the cancellation must be on record");
         // No sample ran: 500 transistor-level evaluations take minutes
         // in a test build.
         assert!(started.elapsed() < std::time::Duration::from_secs(30));

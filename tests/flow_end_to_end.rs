@@ -14,8 +14,8 @@ use hierflow::checkpoint::{
 use hierflow::flow::{CacheConfig, FlowConfig, HierarchicalFlow};
 use hierflow::report::{format_table1, format_table2};
 use hierflow::{
-    CancelToken, DegradePolicy, FaultInjector, FaultKind, FlowEvents, FlowStage, RunBudget,
-    VcoTestbench,
+    CancelToken, DeadlineScope, DegradePolicy, FaultInjector, FaultKind, FlowError, FlowEvent,
+    FlowEvents, FlowStage, RunBudget, VcoTestbench,
 };
 use moea::problem::{Evaluation, Individual};
 use netlist::topology::VcoSizing;
@@ -425,6 +425,10 @@ fn injected_stall_trips_task_deadline_and_budget_exhaustion_is_resumable() {
     assert!(err.is_resumable_interruption(), "{err}");
     assert!(err.to_string().contains("deadline exceeded"), "{err}");
     assert_eq!(err.flow_stage(), Some(FlowStage::Characterize));
+    // Only the whole-run budget is set, so the error names it.
+    let stage = FlowStage::Characterize;
+    let scope = DeadlineScope::Run;
+    assert_eq!(err, FlowError::DeadlineExceeded { stage, scope });
 
     // The overruns and the budget exhaustion are on record in the
     // persisted event log, and the stage-1 checkpoint is intact.
@@ -435,6 +439,10 @@ fn injected_stall_trips_task_deadline_and_budget_exhaustion_is_resumable() {
         .expect("event log present");
     assert!(events.task_timeouts(FlowStage::Characterize) >= 1);
     assert!(events.interrupted());
+    assert_eq!(
+        interruptions(&events),
+        [FlowEvent::BudgetExhausted { stage, scope }]
+    );
     let overrun = events.iter().find_map(|e| match e {
         hierflow::FlowEvent::TaskTimedOut {
             point,
@@ -462,6 +470,66 @@ fn injected_stall_trips_task_deadline_and_budget_exhaustion_is_resumable() {
     assert!(resumed.verification.total > 0);
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// An interrupted verification is recorded once, by the flow. With
+/// stages 1, 2 and 4 checkpointed, a per-stage budget of zero expires
+/// before verification's Monte Carlo claims its first sample: the run
+/// names the per-stage budget, the persisted log holds exactly one
+/// `BudgetExhausted`, and a rerun without the budget reproduces the
+/// uninterrupted report.
+#[test]
+fn verification_interrupted_by_stage_budget_is_recorded_once_and_resumes() {
+    let config = micro_config();
+    let dir = fresh_dir("verify_budget");
+    seeded_stage1(&dir, &config.testbench, 3);
+    let first = HierarchicalFlow::new(config.clone())
+        .run_with_checkpoints(&dir)
+        .expect("reference run completes");
+
+    std::fs::remove_file(dir.join(STAGE5_SELECTED)).expect("drop stage-5 artifact");
+    let mut strangled = config.clone();
+    strangled.budget = RunBudget::unlimited().per_stage(Duration::ZERO);
+    let err = HierarchicalFlow::new(strangled).resume(&dir).unwrap_err();
+    let stage = FlowStage::Verify;
+    let scope = DeadlineScope::Stage;
+    assert_eq!(err, FlowError::DeadlineExceeded { stage, scope });
+
+    let events: FlowEvents = RunDir::create(&dir)
+        .expect("reopen run dir")
+        .load(hierflow::checkpoint::EVENTS_FILE)
+        .expect("event log parses")
+        .expect("event log present");
+    assert_eq!(
+        interruptions(&events),
+        [FlowEvent::BudgetExhausted { stage, scope }]
+    );
+
+    let resumed = HierarchicalFlow::new(config)
+        .resume(&dir)
+        .expect("resume completes once the budget is lifted");
+    assert_eq!(resumed.front, first.front);
+    assert_eq!(resumed.system_front, first.system_front);
+    assert_eq!(resumed.selected, first.selected);
+    assert_eq!(resumed.selected_x, first.selected_x);
+    assert_eq!(resumed.final_sizing, first.final_sizing);
+    assert_eq!(resumed.verification, first.verification);
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The cancellation and budget-exhaustion records of an event log.
+fn interruptions(events: &FlowEvents) -> Vec<FlowEvent> {
+    events
+        .iter()
+        .filter(|e| {
+            matches!(
+                e,
+                FlowEvent::RunCancelled { .. } | FlowEvent::BudgetExhausted { .. }
+            )
+        })
+        .cloned()
+        .collect()
 }
 
 /// The full five-stage flow with `FlowConfig::quick` budgets.
