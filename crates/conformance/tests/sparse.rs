@@ -26,7 +26,7 @@ use netlist::topology::{
 use netlist::{Circuit, Device, NodeId, SourceWaveform};
 use spicesim::dc::{dc_operating_point, OpPoint};
 use spicesim::mosfet::eval_mosfet;
-use spicesim::transient::{run_transient, TransientSpec};
+use spicesim::transient::{run_transient, TranResult, TransientSpec};
 use spicesim::SimOptions;
 use telemetry::names;
 
@@ -343,4 +343,96 @@ fn relabelled_sparse_system_is_bit_identical_under_composed_ordering() {
             rl_x[sigma[i]]
         );
     }
+}
+
+/// Bits of the ring-VCO results the flow consumes, hashed with 64-bit
+/// FNV-1a over each value's IEEE-754 bits in a fixed order.
+struct BitDigest(u64);
+
+impl BitDigest {
+    fn new() -> Self {
+        BitDigest(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn add(&mut self, values: &[f64]) {
+        for v in values {
+            for byte in v.to_bits().to_le_bytes() {
+                self.0 ^= u64::from(byte);
+                self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+
+    /// Every node voltage and every recorded branch current of `run`.
+    fn add_transient(&mut self, vco: &netlist::topology::RingVco, run: &TranResult) {
+        self.add(run.times());
+        for node in circuit_nodes(&vco.circuit) {
+            self.add(run.voltage(node).values());
+        }
+        for source in [vco.vdd_source, vco.vctrl_source] {
+            self.add(run.branch_current(source).expect("source branch").values());
+        }
+    }
+}
+
+/// Every non-ground node a device of `circuit` touches, by index.
+fn circuit_nodes(circuit: &Circuit) -> Vec<NodeId> {
+    let mut nodes: Vec<NodeId> = circuit
+        .devices()
+        .flat_map(|(_, device)| device.nodes())
+        .filter(|n| !n.is_ground())
+        .collect();
+    nodes.sort_by_key(|n| n.index());
+    nodes.dedup();
+    nodes
+}
+
+/// Digest of [`noiseless_ring_results_keep_their_bits`], recorded when
+/// the test was added. Only a change that is meant to alter the
+/// solver's numbers may re-record it, as a recorded decision.
+const RING_RESULTS_DIGEST: u64 = 0xde16_1599_f3e3_7b9e;
+
+/// The solver's output, pinned bit for bit: at two control voltages,
+/// the noiseless ring VCO's DC operating point, a backward-Euler
+/// transient at the oscillator measurement's coarse 12.5 ps step, a
+/// trapezoidal transient, and one `measure_oscillator`. Noise-injected
+/// runs stay out: their normal draws go through the platform's libm.
+#[test]
+fn noiseless_ring_results_keep_their_bits() {
+    use spicesim::measure::{measure_oscillator, OscConfig};
+    use spicesim::IntegrationMethod;
+
+    let be = SimOptions::default();
+    let trap = SimOptions {
+        method: IntegrationMethod::Trapezoidal,
+        ..SimOptions::default()
+    };
+    let mut digest = BitDigest::new();
+    for vctrl in [0.8, 1.0] {
+        let vco = build_ring_vco(&VcoSizing::nominal(), 5, 1.2, vctrl);
+        let op = dc_operating_point(&vco.circuit, &be).expect("DC converges");
+        digest.add(op.solution());
+        let coarse = TransientSpec::new(3e-9, 12.5e-12).with_ic();
+        let run = run_transient(&vco.circuit, &coarse, &be).expect("BE transient");
+        digest.add_transient(&vco, &run);
+        let fine = TransientSpec::new(2e-9, 5e-12).with_ic();
+        let run = run_transient(&vco.circuit, &fine, &trap).expect("trapezoidal transient");
+        digest.add_transient(&vco, &run);
+        let osc = measure_oscillator(
+            &vco.circuit,
+            vco.out,
+            vco.vdd_source,
+            &OscConfig::default(),
+            &be,
+            None,
+        )
+        .expect("ring oscillates");
+        digest.add(&[osc.freq, osc.avg_supply_current]);
+        digest.add(&osc.periods);
+    }
+    assert_eq!(
+        digest.0, RING_RESULTS_DIGEST,
+        "ring-VCO solver results changed: digest {:#018x}",
+        digest.0
+    );
 }

@@ -68,6 +68,19 @@ impl ExecPolicy {
         self.retry = retry;
         self
     }
+
+    /// Polls the cancellation token, then the batch deadline, and names
+    /// the first that says stop. A batch polls once before each task it
+    /// claims; serial work under the same policy polls the same way.
+    pub fn poll(&self) -> Option<AbortReason> {
+        if self.cancel.poll() {
+            Some(AbortReason::Cancelled)
+        } else if self.batch_deadline.is_some_and(|d| d.expired()) {
+            Some(AbortReason::DeadlineExceeded)
+        } else {
+            None
+        }
+    }
 }
 
 /// Per-task context handed to the task body: which task and attempt
@@ -202,22 +215,13 @@ where
             retries: 0,
         };
         loop {
-            if policy.cancel.poll() {
-                let _ = abort.compare_exchange(
-                    ABORT_NONE,
-                    ABORT_CANCELLED,
-                    Ordering::SeqCst,
-                    Ordering::SeqCst,
-                );
-                break;
-            }
-            if policy.batch_deadline.is_some_and(|d| d.expired()) {
-                let _ = abort.compare_exchange(
-                    ABORT_NONE,
-                    ABORT_DEADLINE,
-                    Ordering::SeqCst,
-                    Ordering::SeqCst,
-                );
+            if let Some(reason) = policy.poll() {
+                let code = match reason {
+                    AbortReason::Cancelled => ABORT_CANCELLED,
+                    AbortReason::DeadlineExceeded => ABORT_DEADLINE,
+                };
+                let _ =
+                    abort.compare_exchange(ABORT_NONE, code, Ordering::SeqCst, Ordering::SeqCst);
                 break;
             }
             let i = next.fetch_add(1, Ordering::SeqCst);

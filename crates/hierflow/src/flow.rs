@@ -556,9 +556,12 @@ impl HierarchicalFlow {
             })?;
 
         // Stage 5: spec propagation with verification-in-the-loop
-        // (Fig 3's two-way arrows), then bottom-up Monte Carlo.
+        // (Fig 3's two-way arrows), then bottom-up Monte Carlo. One
+        // policy, built as the stage starts, supervises both: selection
+        // polls it before each transistor-level evaluation.
         let stage5: Stage5Artifact =
             runner.checkpointed(FlowStage::Verify, checkpoint::STAGE5_SELECTED, |events| {
+                let policy = stage_policy();
                 let picked = select_verified_design(
                     &system_problem,
                     &stage4.front,
@@ -568,6 +571,7 @@ impl HierarchicalFlow {
                     &cfg.spec,
                     &cfg.lock_sim,
                     12,
+                    &policy,
                     events,
                 )?;
                 let verification = verify_design(
@@ -579,7 +583,7 @@ impl HierarchicalFlow {
                     &engine,
                     &cfg.verify_mc,
                     &cfg.lock_sim,
-                    &stage_policy(),
+                    &policy,
                 )?;
                 Ok(Stage5Artifact {
                     x: picked.x,

@@ -36,7 +36,6 @@ pub mod model;
 pub mod policy;
 pub mod propagate;
 pub mod report;
-pub mod sensitivity;
 pub mod system_opt;
 pub mod vco_eval;
 pub mod vco_problem;

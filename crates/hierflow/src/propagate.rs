@@ -3,6 +3,7 @@
 
 use behavioral::spec::PllSpec;
 use behavioral::timesim::LockSimConfig;
+use exec::ExecPolicy;
 use moea::problem::Individual;
 use netlist::topology::VcoSizing;
 
@@ -55,7 +56,10 @@ pub struct VerifiedSelection {
 /// # Errors
 ///
 /// Returns [`FlowError::Stage`] when no candidate survives (at most
-/// `max_candidates` transistor evaluations are spent).
+/// `max_candidates` transistor evaluations are spent), and the
+/// resumable [`FlowError::Cancelled`] or [`FlowError::DeadlineExceeded`]
+/// when `exec`'s token or batch deadline stops the walk: it is polled
+/// before each candidate's evaluation.
 #[allow(clippy::too_many_arguments)]
 pub fn select_verified_design(
     problem: &PllSystemProblem,
@@ -66,6 +70,7 @@ pub fn select_verified_design(
     spec: &PllSpec,
     sim_cfg: &LockSimConfig,
     max_candidates: usize,
+    exec: &ExecPolicy,
     events: &mut FlowEvents,
 ) -> Result<VerifiedSelection, FlowError> {
     // Rank the model-compliant candidates by nominal jitter, keeping
@@ -125,6 +130,9 @@ pub fn select_verified_design(
         });
     };
     for (idx, x, solution) in distinct.into_iter().take(max_candidates.max(1)) {
+        if let Some(reason) = exec.poll() {
+            return Err(FlowError::aborted(FlowStage::Verify, reason));
+        }
         let sizing = backout_sizing(model, &solution);
         let actual = match testbench.evaluate_sizing(&sizing) {
             Ok(actual) => actual,
@@ -232,6 +240,7 @@ mod tests {
             spec,
             &LockSimConfig::default(),
             2,
+            &ExecPolicy::default(),
             events,
         )
     }
@@ -292,6 +301,53 @@ mod tests {
             };
             assert!(reason.contains("current"), "{reason}");
         }
+    }
+
+    #[test]
+    fn a_fired_token_stops_selection_before_any_evaluation() {
+        // The loose spec of the test above makes both candidates
+        // model-compliant, so only the token stops the walk.
+        let loose = PllSpec {
+            lock_time_max: 5e-6,
+            current_max: 50e-3,
+            ..PllSpec::default()
+        };
+        let p = PllSystemProblem::new(
+            model(),
+            PllArchitecture::default(),
+            loose,
+            LockSimConfig::default(),
+        );
+        let front: Vec<Individual> = [0.25, 0.5]
+            .into_iter()
+            .map(|t| {
+                let x = vec![0.8e9 + 1.6e9 * t, 1.5e-3 + 3.0e-3 * t, 30e-12, 3e-12, 4e3];
+                candidate(&p, x)
+            })
+            .collect();
+        let cancel = exec::CancelToken::new();
+        cancel.cancel();
+        let mut events = FlowEvents::new();
+        let err = select_verified_design(
+            &p,
+            &front,
+            &model(),
+            &VcoTestbench::default(),
+            &PllArchitecture::default(),
+            &loose,
+            &LockSimConfig::default(),
+            2,
+            &ExecPolicy::default().with_cancel(cancel),
+            &mut events,
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            FlowError::Cancelled {
+                stage: FlowStage::Verify
+            }
+        );
+        assert!(events.is_empty(), "no candidate was evaluated: {events}");
     }
 
     #[test]

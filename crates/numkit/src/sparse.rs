@@ -9,16 +9,25 @@
 //!    fill-reducing minimum-degree ordering on the symmetrised pattern,
 //!    plus a canonical permuted CSC pattern and the scatter map from the
 //!    caller's entry order into it.
-//! 2. **Factor** ([`SparseSolver::solve`], first call) — a left-looking
-//!    Gilbert–Peierls LU with partial pivoting that discovers the
-//!    numeric fill pattern by depth-first search and records it.
+//! 2. **Factor** ([`SparseSolver::solve_in_place`], first call) — a
+//!    left-looking Gilbert–Peierls LU with partial pivoting that
+//!    discovers the numeric fill pattern by depth-first search and
+//!    records it.
 //! 3. **Refactor** (every later call) — numeric-only: the recorded
 //!    pattern, pivot sequence and update order are replayed on the new
 //!    values. When a recorded pivot decays below the relative threshold
 //!    ([`crate::lu::pivot_threshold`]) the solver transparently falls
 //!    back to a full re-pivoting factor for that call.
 //! 4. **Solve** — permuted forward/back substitution through the stored
-//!    factors.
+//!    factors, overwriting the right-hand side with the solution.
+//!
+//! A Newton loop assembles straight into the solver's permuted value
+//! array ([`SparseSolver::values_mut`], addressed through
+//! [`Symbolic::position`]) and solves in its own right-hand-side
+//! buffer, so an iteration neither allocates nor scatters.
+//! [`SparseSolver::solve`] is the one-shot form over the same core: it
+//! scatters values given in the pattern's own entry order and returns
+//! the solution in a new vector.
 //!
 //! Refactoring the *same* values a factor just saw replays the identical
 //! floating-point operation sequence, so factor → refactor is
@@ -222,9 +231,21 @@ impl Symbolic {
     pub fn ordering(&self) -> &[usize] {
         &self.perm
     }
+
+    /// Position in the solver's permuted value array
+    /// ([`SparseSolver::values_mut`]) of the analysed pattern's entry
+    /// `entry` (column-major sorted order, as produced by
+    /// [`CscPattern::entry`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `entry` is not an entry of the analysed pattern.
+    pub fn position(&self, entry: usize) -> usize {
+        self.map[entry]
+    }
 }
 
-/// Which numeric path a [`SparseSolver::solve`] call took.
+/// Which numeric path a [`SparseSolver::solve_in_place`] call took.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FactorMode {
     /// Full factorisation with pivot discovery (first solve, or after a
@@ -291,11 +312,12 @@ struct NumericLu {
 pub struct SparseSolver {
     sym: Symbolic,
     lu: Option<NumericLu>,
-    /// Permuted values scratch (the caller's values scattered through
-    /// `sym.map`).
+    /// The matrix to factor, in the permuted pattern's entry order.
     ax: Vec<f64>,
     /// Dense accumulator for one column.
     work: Vec<f64>,
+    /// Substitution vector in pivotal coordinates.
+    y: Vec<f64>,
     /// Visit stamps for the DFS / scatter, versioned by `stamp`.
     mark: Vec<usize>,
     stamp: usize,
@@ -318,6 +340,7 @@ impl SparseSolver {
             lu: None,
             ax: vec![0.0; nnz],
             work: vec![0.0; n],
+            y: vec![0.0; n],
             mark: vec![0; n],
             stamp: 0,
             stats: SparseStats::default(),
@@ -342,38 +365,33 @@ impl SparseSolver {
             .map(|lu| lu.li.len() + lu.ui.len() + lu.udiag.len())
     }
 
-    /// Solves `A·x = b` where `values[e]` is the number at the pattern's
-    /// entry `e` (column-major sorted order, as produced by
-    /// [`CscPattern::entry`]). The first call factors; later calls
+    /// The matrix the next [`Self::solve_in_place`] factors, in the
+    /// permuted order: entry `e` of the analysed pattern lives at
+    /// [`Symbolic::position`]`(e)`. Callers overwrite every position
+    /// before each solve; the solver only reads it.
+    pub fn values_mut(&mut self) -> &mut [f64] {
+        &mut self.ax
+    }
+
+    /// Solves `A·x = b` for the matrix in [`Self::values_mut`],
+    /// overwriting `b` with `x`. The first call factors; later calls
     /// replay a numeric-only refactor, falling back to a full factor if
-    /// a recorded pivot decays below the relative threshold.
+    /// a recorded pivot decays below the relative threshold. Neither
+    /// the refactor nor the substitution allocates.
     ///
     /// # Errors
     ///
-    /// [`SolveMatrixError::DimensionMismatch`] for wrong-length inputs,
+    /// [`SolveMatrixError::DimensionMismatch`] for a wrong-length `b`,
     /// [`SolveMatrixError::Singular`] (with the failing elimination
-    /// step) when even full pivoting cannot find an acceptable pivot.
-    pub fn solve(
-        &mut self,
-        values: &[f64],
-        b: &[f64],
-    ) -> Result<(Vec<f64>, FactorMode), SolveMatrixError> {
+    /// step) when even full pivoting cannot find an acceptable pivot;
+    /// `b` is then left as it was.
+    pub fn solve_in_place(&mut self, b: &mut [f64]) -> Result<FactorMode, SolveMatrixError> {
         let n = self.sym.n;
-        if values.len() != self.sym.map.len() {
-            return Err(SolveMatrixError::DimensionMismatch {
-                expected: self.sym.map.len(),
-                got: values.len(),
-            });
-        }
         if b.len() != n {
             return Err(SolveMatrixError::DimensionMismatch {
                 expected: n,
                 got: b.len(),
             });
-        }
-        // Scatter the caller's values into the canonical permuted order.
-        for (e, &v) in values.iter().enumerate() {
-            self.ax[self.sym.map[e]] = v;
         }
         let mode = if self.lu.is_some() {
             match self.refactor() {
@@ -393,7 +411,36 @@ impl SparseSolver {
             self.stats.factors += 1;
             FactorMode::Factor
         };
-        Ok((self.solve_factored(b), mode))
+        self.substitute(b);
+        Ok(mode)
+    }
+
+    /// Solves `A·x = b` where `values[e]` is the number at the pattern's
+    /// entry `e` (column-major sorted order, as produced by
+    /// [`CscPattern::entry`]): scatters them into the permuted order and
+    /// runs [`Self::solve_in_place`] on a copy of `b`.
+    ///
+    /// # Errors
+    ///
+    /// [`SolveMatrixError::DimensionMismatch`] for wrong-length inputs,
+    /// plus the errors of [`Self::solve_in_place`].
+    pub fn solve(
+        &mut self,
+        values: &[f64],
+        b: &[f64],
+    ) -> Result<(Vec<f64>, FactorMode), SolveMatrixError> {
+        if values.len() != self.sym.map.len() {
+            return Err(SolveMatrixError::DimensionMismatch {
+                expected: self.sym.map.len(),
+                got: values.len(),
+            });
+        }
+        for (e, &v) in values.iter().enumerate() {
+            self.ax[self.sym.map[e]] = v;
+        }
+        let mut x = b.to_vec();
+        let mode = self.solve_in_place(&mut x)?;
+        Ok((x, mode))
     }
 
     /// Left-looking Gilbert–Peierls factorisation with partial pivoting
@@ -585,11 +632,15 @@ impl SparseSolver {
         Ok(())
     }
 
-    /// Permuted forward/back substitution through the stored factors.
-    fn solve_factored(&self, b: &[f64]) -> Vec<f64> {
+    /// Permuted forward/back substitution through the stored factors,
+    /// from `b` into `b` through the solver's own scratch.
+    fn substitute(&mut self, b: &mut [f64]) {
         let lu = self.lu.as_ref().expect("solve requires factors");
         let n = self.sym.n;
-        let mut y: Vec<f64> = (0..n).map(|j| b[lu.qrow[j]]).collect();
+        let y = &mut self.y;
+        for (j, yj) in y.iter_mut().enumerate() {
+            *yj = b[lu.qrow[j]];
+        }
         for j in 0..n {
             let yj = y[j];
             if yj != 0.0 {
@@ -613,11 +664,9 @@ impl SparseSolver {
                 }
             }
         }
-        let mut x = vec![0.0; n];
         for (j, &yj) in y.iter().enumerate() {
-            x[self.sym.perm[j]] = yj;
+            b[self.sym.perm[j]] = yj;
         }
-        x
     }
 }
 
@@ -824,6 +873,37 @@ mod tests {
         // Tridiagonal under min-degree ordering should stay sparse:
         // far fewer stored entries than the dense n².
         assert!(s.factor_nnz().unwrap() < n * n / 2);
+    }
+
+    #[test]
+    fn in_place_solve_matches_the_one_shot_form() {
+        // Values written at their permuted positions and solved in the
+        // right-hand side's own buffer give the one-shot form's bits.
+        let p = dense_pattern(3);
+        let v = dense_values(
+            &p,
+            &[&[4.0, -2.0, 1.0], &[3.0, 6.0, -4.0], &[2.0, 1.0, 8.0]],
+        );
+        let b = [1.0, 2.0, 3.0];
+        let (x, _) = SparseSolver::new(&p).solve(&v, &b).unwrap();
+        let mut s = SparseSolver::new(&p);
+        for _ in 0..2 {
+            for (e, &value) in v.iter().enumerate() {
+                let pos = s.symbolic().position(e);
+                s.values_mut()[pos] = value;
+            }
+            let mut xb = b;
+            s.solve_in_place(&mut xb).unwrap();
+            for (a, b) in x.iter().zip(&xb) {
+                assert_eq!(a.to_bits(), b.to_bits());
+            }
+        }
+        assert_eq!(s.stats().factors, 1);
+        assert_eq!(s.stats().refactors, 1);
+        assert!(matches!(
+            s.solve_in_place(&mut [1.0]),
+            Err(SolveMatrixError::DimensionMismatch { .. })
+        ));
     }
 
     #[test]

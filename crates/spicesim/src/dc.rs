@@ -48,48 +48,47 @@ impl OpPoint {
     }
 }
 
-/// Reusable Newton scratch: the topology's sparse assembly plan, its
-/// CSC value array and RHS, and the sparse LU that factors them.
+/// Reusable Newton scratch: the topology's sparse assembly plan, the
+/// sparse LU whose value array the plan stamps into, and the RHS that
+/// each solve overwrites with its solution.
 ///
 /// Assembly clears and re-stamps these in place, so one workspace
 /// allocated per analysis serves every Newton iteration, every
-/// continuation step, and (in transient) every timestep. This is where
-/// the KLU-style lifecycle hangs: the topology's stamp pattern, its
-/// bound value slots and the symbolic analysis happen once here, the
-/// numeric factor once on the first solve, and every later Newton
-/// iteration pays only a numeric refactor.
+/// continuation step, and (in transient) every timestep, without an
+/// allocation per iteration. This is where the KLU-style lifecycle
+/// hangs: the device binding and the symbolic analysis happen once
+/// here, the numeric factor once on the first solve, and every later
+/// Newton iteration pays only a numeric refactor.
 pub(crate) struct SolveWorkspace {
     plan: SparsePlan,
-    values: Vec<f64>,
+    /// The RHS going into a solve and the solution coming out.
     b: Vec<f64>,
     solver: SparseSolver,
 }
 
 impl SolveWorkspace {
-    /// Plans and analyses `sys`'s topology.
+    /// Binds and analyses `sys`'s topology.
     pub(crate) fn for_system(sys: &MnaSystem<'_>) -> Self {
-        let plan = sys.sparse_plan();
-        let solver = SparseSolver::new(plan.pattern());
+        let (plan, solver) = sys.sparse_plan();
         if telemetry::enabled() {
             telemetry::counter_add(names::SIM_SPARSE_ANALYZE, 1);
         }
         SolveWorkspace {
-            values: vec![0.0; plan.pattern().nnz()],
-            b: vec![0.0; sys.size()],
             plan,
+            b: vec![0.0; sys.size()],
             solver,
         }
     }
 
-    /// Assembles about `x` and solves one Newton step.
+    /// Assembles about `x` and solves one Newton step into `self.b`.
     fn assemble_and_solve(
         &mut self,
         sys: &MnaSystem<'_>,
         x: &[f64],
         ctx: &AssembleContext<'_>,
-    ) -> Result<Vec<f64>, numkit::matrix::SolveMatrixError> {
-        sys.assemble(x, ctx, &self.plan, &mut self.values, &mut self.b);
-        self.solver.solve(&self.values, &self.b).map(|(x, _)| x)
+    ) -> Result<(), numkit::matrix::SolveMatrixError> {
+        sys.assemble(&self.plan, x, ctx, self.solver.values_mut(), &mut self.b);
+        self.solver.solve_in_place(&mut self.b).map(|_| ())
     }
 }
 
@@ -124,51 +123,48 @@ fn newton_metric(analysis: &'static str) -> &'static str {
     }
 }
 
-/// Damped Newton–Raphson on the assembled MNA system.
-///
-/// Returns the converged solution vector, or `Err` carrying the iteration
-/// count on failure. `x0` is the starting iterate; `ws` must be sized
-/// for `sys` (it is overwritten, never read).
+/// Damped Newton–Raphson on the assembled MNA system, in place: `x`
+/// holds the starting iterate going in and the converged solution
+/// coming out. On `Err` (carrying the iteration count) it holds the
+/// last iterate. `ws` must be sized for `sys` (it is overwritten, never
+/// read).
 pub(crate) fn newton_solve(
     sys: &MnaSystem<'_>,
-    x0: &[f64],
+    x: &mut [f64],
     ctx: &AssembleContext<'_>,
     opts: &SimOptions,
     analysis: &'static str,
     ws: &mut SolveWorkspace,
-) -> Result<Vec<f64>, SimError> {
-    let n = sys.size();
+) -> Result<(), SimError> {
     let nv = sys.num_voltage_unknowns();
-    let mut x = x0.to_vec();
 
     for iter in 0..opts.max_newton_iterations {
-        let x_new = ws
-            .assemble_and_solve(sys, &x, ctx)
+        ws.assemble_and_solve(sys, x, ctx)
             .map_err(|e| SimError::from_solve(e, analysis))?;
 
         let mut converged = true;
-        for i in 0..n {
-            let dx = x_new[i] - x[i];
+        for (i, (xi, &x_new)) in x.iter_mut().zip(&ws.b).enumerate() {
+            let dx = x_new - *xi;
             let tol = if i < nv {
-                opts.vntol + opts.reltol * x_new[i].abs()
+                opts.vntol + opts.reltol * x_new.abs()
             } else {
-                opts.abstol + opts.reltol * x_new[i].abs()
+                opts.abstol + opts.reltol * x_new.abs()
             };
             if dx.abs() > tol {
                 converged = false;
             }
             // Damp voltage updates only; branch currents follow freely.
             if i < nv {
-                x[i] += dx.clamp(-opts.max_voltage_step, opts.max_voltage_step);
+                *xi += dx.clamp(-opts.max_voltage_step, opts.max_voltage_step);
             } else {
-                x[i] = x_new[i];
+                *xi = x_new;
             }
         }
         if converged {
             if telemetry::enabled() {
                 telemetry::observe(newton_metric(analysis), (iter + 1) as f64);
             }
-            return Ok(x);
+            return Ok(());
         }
     }
     if telemetry::enabled() {
@@ -220,6 +216,10 @@ fn make_op(sys: &MnaSystem<'_>, x: Vec<f64>) -> OpPoint {
     }
 }
 
+/// Solves the operating point of `sys` from a zero start, through the
+/// continuation ladder of [`dc_operating_point`]. A failed attempt
+/// leaves a partial iterate behind, so each fallback restarts from
+/// zeros.
 pub(crate) fn solve_dc(
     sys: &MnaSystem<'_>,
     opts: &SimOptions,
@@ -235,15 +235,16 @@ pub(crate) fn solve_dc(
         prev_solution: None,
         dt: 0.0,
     };
-    let x0 = vec![0.0; sys.size()];
+    let mut x = vec![0.0; sys.size()];
 
     // 1. Direct attempt.
-    if let Ok(x) = newton_solve(sys, &x0, &base_ctx, opts, "dc", ws) {
+    if newton_solve(sys, &mut x, &base_ctx, opts, "dc", ws).is_ok() {
         return Ok(x);
     }
 
     // 2. Gmin stepping: start very conductive, tighten towards opts.gmin.
-    if let Ok(x) = tighten_gmin(sys, x0.clone(), 1e-2, &base_ctx, opts, ws) {
+    x.fill(0.0);
+    if tighten_gmin(sys, &mut x, 1e-2, &base_ctx, opts, ws).is_ok() {
         return Ok(x);
     }
 
@@ -252,7 +253,7 @@ pub(crate) fn solve_dc(
     // 1e-9 would otherwise make the ramp *harder* than the final
     // system).
     let relaxed = opts.gmin.max(1e-9);
-    let mut x = x0;
+    x.fill(0.0);
     let steps = 20;
     for k in 1..=steps {
         let scale = k as f64 / steps as f64;
@@ -261,34 +262,35 @@ pub(crate) fn solve_dc(
             source_scale: scale,
             ..base_ctx
         };
-        x = newton_solve(sys, &x, &ctx, opts, "dc", ws)?;
+        newton_solve(sys, &mut x, &ctx, opts, "dc", ws)?;
     }
-    tighten_gmin(sys, x, relaxed * 0.1, &base_ctx, opts, ws)
+    tighten_gmin(sys, &mut x, relaxed * 0.1, &base_ctx, opts, ws)?;
+    Ok(x)
 }
 
 /// Tightens gmin decade by decade from `start` down to `opts.gmin`,
-/// warm-starting each solve from the previous solution, and always
-/// finishes with a pass at *exactly* `opts.gmin` (`base_ctx`). The
-/// decade ladder overshoots any target that is not a power-of-ten
+/// warm-starting each solve from the previous solution in `x`, and
+/// always finishes with a pass at *exactly* `opts.gmin` (`base_ctx`).
+/// The decade ladder overshoots any target that is not a power-of-ten
 /// multiple of `start` — e.g. `start = 1e-2`, `opts.gmin = 3e-11` steps
 /// 1e-2 … 1e-10 and then must still solve at 3e-11 — so the exact final
 /// pass is structural here rather than an obligation on every caller
 /// (the two historical copies of this ladder each appended it by hand).
 fn tighten_gmin(
     sys: &MnaSystem<'_>,
-    mut x: Vec<f64>,
+    x: &mut [f64],
     start: f64,
     base_ctx: &AssembleContext<'_>,
     opts: &SimOptions,
     ws: &mut SolveWorkspace,
-) -> Result<Vec<f64>, SimError> {
+) -> Result<(), SimError> {
     let mut gmin = start;
     while gmin > opts.gmin {
         let ctx = AssembleContext { gmin, ..*base_ctx };
-        x = newton_solve(sys, &x, &ctx, opts, "dc", ws)?;
+        newton_solve(sys, x, &ctx, opts, "dc", ws)?;
         gmin *= 0.1;
     }
-    newton_solve(sys, &x, base_ctx, opts, "dc", ws)
+    newton_solve(sys, x, base_ctx, opts, "dc", ws)
 }
 
 /// Sweeps the DC value of one independent source over `values`, solving
@@ -320,10 +322,10 @@ pub fn dc_sweep(
         }
     }
     let mut work = circuit.clone();
-    let mut results = Vec::with_capacity(values.len());
-    let mut guess: Option<Vec<f64>> = None;
+    let mut results: Vec<OpPoint> = Vec::with_capacity(values.len());
     // One scratch for the whole sweep: only the source value changes
-    // between points, never the system size.
+    // between points, and the plan reads source values from the circuit
+    // it assembles.
     let mut ws: Option<SolveWorkspace> = None;
     for &value in values {
         match work.device_mut(device) {
@@ -345,14 +347,17 @@ pub fn dc_sweep(
             dt: 0.0,
         };
         let ws = ws.get_or_insert_with(|| SolveWorkspace::for_system(&sys));
-        let x = match &guess {
-            Some(g) => match newton_solve(&sys, g, &base_ctx, opts, "dc", ws) {
-                Ok(x) => x,
-                Err(_) => solve_dc(&sys, opts, ws)?,
-            },
+        // Warm start from a copy of the previous point.
+        let x = match results.last() {
+            Some(previous) => {
+                let mut x = previous.x.clone();
+                match newton_solve(&sys, &mut x, &base_ctx, opts, "dc", ws) {
+                    Ok(()) => x,
+                    Err(_) => solve_dc(&sys, opts, ws)?,
+                }
+            }
             None => solve_dc(&sys, opts, ws)?,
         };
-        guess = Some(x.clone());
         results.push(make_op(&sys, x));
     }
     Ok(results)
@@ -675,10 +680,11 @@ mod tests {
             ..Default::default()
         };
         let rec = telemetry::Recorder::new();
-        let x = {
+        let mut x = vec![0.0; sys.size()];
+        {
             let _install = rec.install();
-            tighten_gmin(&sys, vec![0.0; sys.size()], 1e-2, &base_ctx, &opts, &mut ws).unwrap()
-        };
+            tighten_gmin(&sys, &mut x, 1e-2, &base_ctx, &opts, &mut ws).unwrap();
+        }
         assert!((sys.voltage_of(&x, b) - 1.0).abs() < 1e-9);
         let m = rec.metrics();
         let h = m

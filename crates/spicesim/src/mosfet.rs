@@ -66,6 +66,63 @@ fn square_law(vgs: f64, vds: f64, beta: f64, vto: f64, lambda: f64) -> (f64, f64
     }
 }
 
+/// A MOSFET's constants in the NMOS frame, derived once from its model
+/// and geometry: the polarity sign, the threshold sign·vto, β = kp·W/L
+/// and λ = λ′/L.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct MosConstants {
+    sign: f64,
+    vto: f64,
+    beta: f64,
+    lambda: f64,
+}
+
+impl MosConstants {
+    /// Derives the constants of `m`.
+    pub(crate) fn of(m: &Mosfet) -> Self {
+        let sign = m.model.polarity.sign();
+        MosConstants {
+            sign,
+            vto: sign * m.model.vto,
+            beta: m.model.kp * m.w / m.l,
+            lambda: m.lambda(),
+        }
+    }
+
+    /// Evaluates the device at the given terminal voltages.
+    pub(crate) fn eval(&self, vd: f64, vg: f64, vs: f64) -> MosEval {
+        let MosConstants {
+            sign,
+            vto,
+            beta,
+            lambda,
+        } = *self;
+        // Map to the NMOS frame: id_p(v) = -id_n(-v), thresholds negate too.
+        let (nvd, nvg, nvs) = (sign * vd, sign * vg, sign * vs);
+
+        // In the NMOS frame, pick the conducting orientation.
+        let (id_n, g_d_n, g_g_n, g_s_n, gm_mag, region) = if nvd >= nvs {
+            let (i, gm, gds, region) = square_law(nvg - nvs, nvd - nvs, beta, vto, lambda);
+            (i, gds, gm, -(gm + gds), gm, region)
+        } else {
+            // Swapped frame: i = -f(vg - vd, vs - vd).
+            let (i, gm, gds, region) = square_law(nvg - nvd, nvs - nvd, beta, vto, lambda);
+            (-i, gm + gds, -gm, -gds, gm, region)
+        };
+
+        // Chain rule back out of the polarity mapping: for the current,
+        // id = sign·id_n; derivatives are unchanged (two sign flips cancel).
+        MosEval {
+            id: sign * id_n,
+            g_d: g_d_n,
+            g_g: g_g_n,
+            g_s: g_s_n,
+            gm_mag,
+            region,
+        }
+    }
+}
+
 /// Evaluates a MOSFET at the given terminal voltages.
 ///
 /// Handles both polarities and both channel orientations (the square law
@@ -87,33 +144,7 @@ fn square_law(vgs: f64, vds: f64, beta: f64, vto: f64, lambda: f64) -> (f64, f64
 /// assert!(e.id > 0.0);
 /// ```
 pub fn eval_mosfet(m: &Mosfet, vd: f64, vg: f64, vs: f64) -> MosEval {
-    let sign = m.model.polarity.sign();
-    // Map to the NMOS frame: id_p(v) = -id_n(-v), thresholds negate too.
-    let (nvd, nvg, nvs) = (sign * vd, sign * vg, sign * vs);
-    let vto = sign * m.model.vto;
-    let beta = m.model.kp * m.w / m.l;
-    let lambda = m.lambda();
-
-    // In the NMOS frame, pick the conducting orientation.
-    let (id_n, g_d_n, g_g_n, g_s_n, gm_mag, region) = if nvd >= nvs {
-        let (i, gm, gds, region) = square_law(nvg - nvs, nvd - nvs, beta, vto, lambda);
-        (i, gds, gm, -(gm + gds), gm, region)
-    } else {
-        // Swapped frame: i = -f(vg - vd, vs - vd).
-        let (i, gm, gds, region) = square_law(nvg - nvd, nvs - nvd, beta, vto, lambda);
-        (-i, gm + gds, -gm, -gds, gm, region)
-    };
-
-    // Chain rule back out of the polarity mapping: for the current,
-    // id = sign·id_n; derivatives are unchanged (two sign flips cancel).
-    MosEval {
-        id: sign * id_n,
-        g_d: g_d_n,
-        g_g: g_g_n,
-        g_s: g_s_n,
-        gm_mag,
-        region,
-    }
+    MosConstants::of(m).eval(vd, vg, vs)
 }
 
 #[cfg(test)]

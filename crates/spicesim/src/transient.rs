@@ -299,16 +299,19 @@ pub(crate) fn run_transient_until(
         }
     };
 
+    // Each step solves from `x` into `x_next`, and the two swap.
+    let mut x_next = vec![0.0; n];
     if spec.use_ic {
         // Consistency solve at t=0: a vanishingly short backward-Euler
         // step whose huge companion conductance pins every capacitor at
         // its initial condition while the rest of the circuit relaxes to
         // a consistent state. Sources are evaluated at t=0.
         let dt_pin = spec.dt * 1e-6;
-        x = step(
+        step(
             &sys,
             &mut caps,
             &x,
+            &mut x_next,
             -dt_pin,
             dt_pin,
             opts,
@@ -318,6 +321,7 @@ pub(crate) fn run_transient_until(
             &mut ws,
             &mut companions,
         )?;
+        std::mem::swap(&mut x, &mut x_next);
         update_cap_state(
             &sys,
             &mut caps,
@@ -358,10 +362,11 @@ pub(crate) fn run_transient_until(
         } else {
             opts.method
         };
-        x = step(
+        step(
             &sys,
             &mut caps,
             &x,
+            &mut x_next,
             t - spec.dt,
             spec.dt,
             opts,
@@ -371,6 +376,7 @@ pub(crate) fn run_transient_until(
             &mut ws,
             &mut companions,
         )?;
+        std::mem::swap(&mut x, &mut x_next);
         update_cap_state(&sys, &mut caps, &x, spec.dt, method);
         first_step = false;
 
@@ -395,7 +401,8 @@ pub(crate) fn run_transient_until(
     })
 }
 
-/// One integration step, with recursive halving on Newton failure.
+/// One integration step from `x_prev` into `x`, with recursive halving
+/// on Newton failure. Only the halving allocates: the midpoint state.
 ///
 /// `ws` and `companions` are per-run scratch: companion entries for
 /// every capacitor are rewritten at each (sub-)step, non-capacitor
@@ -405,6 +412,7 @@ fn step(
     sys: &MnaSystem<'_>,
     caps: &mut [CapState],
     x_prev: &[f64],
+    x: &mut [f64],
     t_prev: f64,
     dt: f64,
     opts: &SimOptions,
@@ -413,7 +421,7 @@ fn step(
     method: IntegrationMethod,
     ws: &mut SolveWorkspace,
     companions: &mut Vec<CapCompanion>,
-) -> Result<Vec<f64>, SimError> {
+) -> Result<(), SimError> {
     for cap in caps.iter() {
         let comp = match method {
             IntegrationMethod::BackwardEuler => {
@@ -433,6 +441,8 @@ fn step(
         };
         companions[cap.device_index] = comp;
     }
+    // Newton starts from the previous point.
+    x.copy_from_slice(x_prev);
     let newton = {
         let ctx = AssembleContext {
             time: t_prev + dt,
@@ -444,14 +454,14 @@ fn step(
             prev_solution: Some(x_prev),
             dt,
         };
-        crate::dc::newton_solve(sys, x_prev, &ctx, opts, "transient", ws)
+        crate::dc::newton_solve(sys, x, &ctx, opts, "transient", ws)
     };
     match newton {
-        Ok(x) => {
+        Ok(()) => {
             if telemetry::enabled() {
                 telemetry::observe(names::SIM_SUBSTEP_DEPTH, depth as f64);
             }
-            Ok(x)
+            Ok(())
         }
         Err(e) => {
             if depth >= opts.max_substep_depth {
@@ -470,13 +480,16 @@ fn step(
                     depth,
                 });
             }
-            // Sub-step: two halves; capacitor state must advance through
-            // the midpoint, so clone, advance, and write back.
+            // Sub-step: two halves, each starting from its own previous
+            // point; capacitor state must advance through the midpoint,
+            // so clone, advance, and write back.
             let mut mid_caps = caps.to_vec();
-            let x_mid = step(
+            let mut x_mid = vec![0.0; x.len()];
+            step(
                 sys,
                 &mut mid_caps,
                 x_prev,
+                &mut x_mid,
                 t_prev,
                 dt / 2.0,
                 opts,
@@ -487,10 +500,11 @@ fn step(
                 companions,
             )?;
             update_cap_state(sys, &mut mid_caps, &x_mid, dt / 2.0, method);
-            let x_end = step(
+            step(
                 sys,
                 &mut mid_caps,
                 &x_mid,
+                x,
                 t_prev + dt / 2.0,
                 dt / 2.0,
                 opts,
@@ -500,9 +514,9 @@ fn step(
                 ws,
                 companions,
             )?;
-            update_cap_state(sys, &mut mid_caps, &x_end, dt / 2.0, method);
+            update_cap_state(sys, &mut mid_caps, x, dt / 2.0, method);
             caps.copy_from_slice(&mid_caps);
-            Ok(x_end)
+            Ok(())
         }
     }
 }

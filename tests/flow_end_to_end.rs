@@ -474,12 +474,15 @@ fn injected_stall_trips_task_deadline_and_budget_exhaustion_is_resumable() {
 
 /// An interrupted verification is recorded once, by the flow. With
 /// stages 1, 2 and 4 checkpointed, a per-stage budget of zero expires
-/// before verification's Monte Carlo claims its first sample: the run
-/// names the per-stage budget, the persisted log holds exactly one
+/// before selection evaluates its first candidate at transistor level:
+/// the run names the per-stage budget, its own profile shows no
+/// simulator analysis, the persisted log holds exactly one
 /// `BudgetExhausted`, and a rerun without the budget reproduces the
 /// uninterrupted report.
 #[test]
 fn verification_interrupted_by_stage_budget_is_recorded_once_and_resumes() {
+    use hierflow::TelemetryConfig;
+
     let config = micro_config();
     let dir = fresh_dir("verify_budget");
     seeded_stage1(&dir, &config.testbench, 3);
@@ -490,10 +493,27 @@ fn verification_interrupted_by_stage_budget_is_recorded_once_and_resumes() {
     std::fs::remove_file(dir.join(STAGE5_SELECTED)).expect("drop stage-5 artifact");
     let mut strangled = config.clone();
     strangled.budget = RunBudget::unlimited().per_stage(Duration::ZERO);
+    // Traced, so the run's profile counts every simulator analysis.
+    strangled.telemetry = TelemetryConfig::enabled();
     let err = HierarchicalFlow::new(strangled).resume(&dir).unwrap_err();
     let stage = FlowStage::Verify;
     let scope = DeadlineScope::Stage;
     assert_eq!(err, FlowError::DeadlineExceeded { stage, scope });
+
+    // `HIERSIZER_TELEMETRY=0` overrides the config and leaves no profile.
+    if telemetry::enabled_from_env(true) {
+        let metrics = std::fs::read_to_string(dir.join(hierflow::checkpoint::METRICS_FILE))
+            .expect("the interrupted run wrote its metrics");
+        let profile: telemetry::report::RunProfile =
+            serde_json::from_str(&metrics).expect("metrics.json parses");
+        assert_eq!(
+            profile
+                .metrics
+                .counter(telemetry::names::SIM_SPARSE_ANALYZE),
+            None,
+            "the interrupted stage ran a transistor-level evaluation"
+        );
+    }
 
     let events: FlowEvents = RunDir::create(&dir)
         .expect("reopen run dir")
