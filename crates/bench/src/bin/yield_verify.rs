@@ -15,13 +15,15 @@ fn main() {
     let report = budget.report();
     let selected = &report.selected;
     let s = &report.final_sizing;
-    // The in-loop check's measurement of the sizing, repeated: the
-    // evaluation is deterministic.
-    let actual = budget
-        .config()
-        .testbench
-        .evaluate_sizing(s)
-        .expect("the verified sizing evaluates");
+    // What the in-loop check judged: the snapped design's
+    // characterised nominal.
+    let actual = report
+        .front
+        .points
+        .iter()
+        .find(|p| p.sizing == *s)
+        .expect("the final sizing is a characterised design")
+        .perf;
 
     println!(
         "# YIELD: bottom-up verification ({} budget)",

@@ -78,8 +78,8 @@ pub enum FlowEvent {
         file: String,
     },
     /// A Pareto point was dropped: in characterisation under a
-    /// degradation policy, in verification when the in-loop
-    /// transistor-level check rejected a candidate.
+    /// degradation policy, in verification when the in-loop check of
+    /// a candidate's characterised performance rejected it.
     PointSkipped {
         /// The stage.
         stage: FlowStage,

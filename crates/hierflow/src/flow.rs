@@ -41,8 +41,9 @@ use crate::vco_problem::VcoSizingProblem;
 use crate::verify::{verify_design, VerificationReport};
 
 /// Evaluation memo-cache settings (the [`evalcache`] crate wired into
-/// the flow's hot evaluation paths: the stage-1 GA and stage-2
-/// Monte-Carlo characterisation).
+/// the flow's transistor-level evaluation paths: the stage-1 GA, the
+/// stage-2 Monte-Carlo characterisation and the stage-5 Monte-Carlo
+/// verification).
 ///
 /// Disabled by default: caching is a pure-speed opt-in — results are
 /// bit-identical either way, which
@@ -54,11 +55,14 @@ use crate::verify::{verify_design, VerificationReport};
 pub struct CacheConfig {
     /// Master switch (default `false`).
     pub enabled: bool,
-    /// In-memory entries held per cache (two caches exist: GA
-    /// evaluations and Monte-Carlo sample metrics).
+    /// In-memory entries held per cache (three caches exist: GA
+    /// evaluations, characterisation sample metrics and verification
+    /// sample metrics).
     pub capacity: usize,
-    /// Design-coordinate quantum for key derivation; `0.0` keys on the
-    /// exact bit pattern, guaranteeing hits are bit-identical replays.
+    /// Design-coordinate quantum for the GA and characterisation keys;
+    /// `0.0` keys on the exact bit pattern, guaranteeing hits are
+    /// bit-identical replays. Verification always keys exactly: it is
+    /// the flow's ground truth.
     pub quantum: f64,
     /// Mirror entries under `<run dir>/evalcache/` so a resumed run
     /// reuses individual evaluations, not just whole stage artifacts.
@@ -444,10 +448,10 @@ impl HierarchicalFlow {
         let mut runner = StageRunner::new(dir, &self.cancel, run_deadline);
 
         // Evaluation memo caches (opt-in, bit-identical): one for the
-        // stage-1 GA's objective evaluations, one for the stage-2
-        // Monte-Carlo sample metrics. Both key off the canonical config
-        // digest, so a shared disk directory never serves entries
-        // computed under a different configuration.
+        // stage-1 GA's objective evaluations, one each for the stage-2
+        // and stage-5 Monte-Carlo sample metrics. All key off the
+        // canonical config digest, so a shared disk directory never
+        // serves entries computed under a different configuration.
         let cache_on = evalcache::enabled_from_env(cfg.cache.enabled);
         let quantiser = if cfg.cache.quantum > 0.0 {
             KeyQuantiser::with_quantum(cfg.cache.quantum)
@@ -459,6 +463,8 @@ impl HierarchicalFlow {
             cache_on.then(|| build_cache(&cfg.cache, quantiser, config_dig, "circuit", dir));
         let char_cache: Option<EvalCache<Vec<f64>>> =
             cache_on.then(|| build_cache(&cfg.cache, quantiser, config_dig, "char", dir));
+        let verify_cache: Option<EvalCache<Vec<f64>>> = cache_on
+            .then(|| build_cache(&cfg.cache, KeyQuantiser::exact(), config_dig, "verify", dir));
 
         // Stage 1: circuit-level multi-objective sizing, with the
         // system band propagated down as coverage constraints (Fig 3).
@@ -558,7 +564,7 @@ impl HierarchicalFlow {
         // Stage 5: spec propagation with verification-in-the-loop
         // (Fig 3's two-way arrows), then bottom-up Monte Carlo. One
         // policy, built as the stage starts, supervises both: selection
-        // polls it before each transistor-level evaluation.
+        // polls it before each candidate.
         let stage5: Stage5Artifact =
             runner.checkpointed(FlowStage::Verify, checkpoint::STAGE5_SELECTED, |events| {
                 let policy = stage_policy();
@@ -566,7 +572,6 @@ impl HierarchicalFlow {
                     &system_problem,
                     &stage4.front,
                     &model,
-                    &cfg.testbench,
                     &cfg.arch,
                     &cfg.spec,
                     &cfg.lock_sim,
@@ -584,7 +589,9 @@ impl HierarchicalFlow {
                     &cfg.verify_mc,
                     &cfg.lock_sim,
                     &policy,
+                    verify_cache.as_ref(),
                 )?;
+                events.record_cache(FlowStage::Verify, verify_cache.as_ref());
                 Ok(Stage5Artifact {
                     x: picked.x,
                     solution: picked.solution,
@@ -784,10 +791,10 @@ impl<'a> StageRunner<'a> {
 /// Builds one evaluation memo cache, attaching the on-disk tier under
 /// `<run dir>/evalcache/<tag>` when checkpointing is active and the
 /// config asks for it. The `tag` is folded into the config digest so
-/// the GA and Monte-Carlo caches can never serve each other's entries
-/// even if their design vectors collide. An unusable disk directory
-/// degrades to memory-only caching — the cache is an optimisation, not
-/// a correctness dependency.
+/// the GA and the two Monte-Carlo caches can never serve each other's
+/// entries even if their design vectors collide. An unusable disk
+/// directory degrades to memory-only caching — the cache is an
+/// optimisation, not a correctness dependency.
 fn build_cache<V: Clone + serde::Serialize + serde::Deserialize>(
     cfg: &CacheConfig,
     quantiser: KeyQuantiser,

@@ -7,11 +7,12 @@ use exec::ExecPolicy;
 use moea::problem::Individual;
 use netlist::topology::VcoSizing;
 
+use crate::charmodel::CharPoint;
 use crate::error::FlowError;
 use crate::events::{FlowEvent, FlowEvents, FlowStage};
 use crate::model::PerfVariationModel;
 use crate::system_opt::{PllArchitecture, PllSystemProblem, SystemSolution};
-use crate::vco_eval::{VcoPerf, VcoTestbench};
+use crate::vco_eval::VcoPerf;
 use crate::verify::pll_performance;
 
 /// Backs a selected system solution out to transistor dimensions.
@@ -23,8 +24,10 @@ use crate::verify::pll_performance;
 /// coincide, but on reproduction-budget fronts inverse interpolation
 /// between distant designs fabricates sizings whose real performance
 /// matches neither neighbour. Snapping guarantees the propagated design
-/// is one that was actually characterised — the selection stage then
-/// re-verifies it at transistor level (see [`select_verified_design`]).
+/// is one that was actually characterised, so its transistor-level
+/// nominal performance is already known: it is the point's stored
+/// [`CharPoint::perf`](crate::charmodel::CharPoint::perf), which
+/// [`select_verified_design`] reads instead of re-simulating.
 pub fn backout_sizing(model: &PerfVariationModel, sol: &SystemSolution) -> VcoSizing {
     model.nearest_point(sol.kvco, sol.ivco).sizing
 }
@@ -38,34 +41,38 @@ pub struct VerifiedSelection {
     pub solution: SystemSolution,
     /// Transistor sizing recovered by spec propagation.
     pub sizing: VcoSizing,
-    /// The sizing's *actual* transistor-level performance.
+    /// The sizing's *actual* transistor-level performance: the snapped
+    /// design's characterised nominal, which stage 1 measured with the
+    /// flow's testbench (approximate when the circuit cache keys on a
+    /// quantum).
     pub actual: VcoPerf,
 }
 
 /// Verification-in-the-loop selection (the two-way arrows of the paper's
 /// Fig 3): walk the spec-compliant system solutions in ascending jitter
-/// order, back each out to a transistor sizing, re-measure that sizing
-/// once at transistor level, and accept the first whose **actual**
-/// performance still meets the PLL specification. Model interpolation
-/// error on sparse fronts is thereby caught before the expensive
-/// Monte-Carlo verification. Each rejected candidate is recorded in
+/// order, back each out to its characterised design, and accept the
+/// first whose **actual** performance — the design's characterised
+/// nominal, not the model's interpolation — still meets the PLL
+/// specification. Model interpolation error on sparse fronts is thereby
+/// caught before the expensive Monte-Carlo verification, at the cost of
+/// one behavioural lock simulation per candidate and no
+/// transistor-level work. Each rejected candidate is recorded in
 /// `events` as a [`FlowEvent::PointSkipped`] in the verify stage, keyed
-/// by its index in `front`, with the reason: the failed evaluation or
-/// the specs its actual performance misses.
+/// by its index in `front`, with the specs its actual performance
+/// misses.
 ///
 /// # Errors
 ///
 /// Returns [`FlowError::Stage`] when no candidate survives (at most
-/// `max_candidates` transistor evaluations are spent), and the
-/// resumable [`FlowError::Cancelled`] or [`FlowError::DeadlineExceeded`]
-/// when `exec`'s token or batch deadline stops the walk: it is polled
-/// before each candidate's evaluation.
+/// `max_candidates` distinct designs are judged), and the resumable
+/// [`FlowError::Cancelled`] or [`FlowError::DeadlineExceeded`] when
+/// `exec`'s token or batch deadline stops the walk: it is polled
+/// before each candidate.
 #[allow(clippy::too_many_arguments)]
 pub fn select_verified_design(
     problem: &PllSystemProblem,
     front: &[Individual],
     model: &PerfVariationModel,
-    testbench: &VcoTestbench,
     arch: &PllArchitecture,
     spec: &PllSpec,
     sim_cfg: &LockSimConfig,
@@ -104,61 +111,39 @@ pub fn select_verified_design(
     // The GA front carries many near-duplicate solutions; walk at most
     // one candidate per snapped (characterised) design so the budget is
     // spent on genuinely distinct circuits.
-    let mut seen_designs: Vec<usize> = Vec::new();
-    let mut distinct = Vec::new();
+    let mut distinct: Vec<(usize, Vec<f64>, SystemSolution, &CharPoint)> = Vec::new();
     for (idx, x, solution) in candidates {
-        let nearest_ref = model.nearest_point(solution.kvco, solution.ivco);
-        let nearest = model
-            .points()
-            .iter()
-            .position(|p| std::ptr::eq(p, nearest_ref))
-            .unwrap_or(usize::MAX);
-        if seen_designs.contains(&nearest) {
-            continue;
+        let design = model.nearest_point(solution.kvco, solution.ivco);
+        if !distinct.iter().any(|seen| std::ptr::eq(seen.3, design)) {
+            distinct.push((idx, x, solution, design));
         }
-        seen_designs.push(nearest);
-        distinct.push((idx, x, solution));
     }
 
     let mut rejected = 0usize;
-    let mut reject = |point: usize, reason: String| {
-        rejected += 1;
-        events.push(FlowEvent::PointSkipped {
-            stage: FlowStage::Verify,
-            point,
-            reason,
-        });
-    };
-    for (idx, x, solution) in distinct.into_iter().take(max_candidates.max(1)) {
+    for (idx, x, solution, design) in distinct.into_iter().take(max_candidates.max(1)) {
         if let Some(reason) = exec.poll() {
             return Err(FlowError::aborted(FlowStage::Verify, reason));
         }
-        let sizing = backout_sizing(model, &solution);
-        let actual = match testbench.evaluate_sizing(&sizing) {
-            Ok(actual) => actual,
-            Err(e) => {
-                reject(idx, format!("transistor-level evaluation failed: {e}"));
-                continue;
-            }
-        };
         // Re-run the behavioural PLL on the actual performance.
         let filter = (solution.c1, solution.c2, solution.r1);
-        let violations = spec.violations(&pll_performance(&actual, filter, arch, sim_cfg));
+        let violations = spec.violations(&pll_performance(&design.perf, filter, arch, sim_cfg));
         if violations.is_empty() {
             return Ok(VerifiedSelection {
                 x,
                 solution,
-                sizing,
-                actual,
+                sizing: design.sizing,
+                actual: design.perf,
             });
         }
-        reject(
-            idx,
-            format!(
+        rejected += 1;
+        events.push(FlowEvent::PointSkipped {
+            stage: FlowStage::Verify,
+            point: idx,
+            reason: format!(
                 "actual performance misses the spec: {}",
                 violations.join("; ")
             ),
-        );
+        });
     }
     Err(FlowError::stage(
         "propagate",
@@ -235,7 +220,6 @@ mod tests {
             p,
             front,
             &model(),
-            &VcoTestbench::default(),
             &PllArchitecture::default(),
             spec,
             &LockSimConfig::default(),
@@ -332,7 +316,6 @@ mod tests {
             &p,
             &front,
             &model(),
-            &VcoTestbench::default(),
             &PllArchitecture::default(),
             &loose,
             &LockSimConfig::default(),
@@ -348,6 +331,52 @@ mod tests {
             }
         );
         assert!(events.is_empty(), "no candidate was evaluated: {events}");
+    }
+
+    #[test]
+    fn selection_reads_the_snapped_designs_nominal_without_simulating() {
+        // The loose spec judges both the model and the actual
+        // performance, so the lowest-jitter candidate is accepted.
+        let loose = PllSpec {
+            lock_time_max: 5e-6,
+            current_max: 50e-3,
+            ..PllSpec::default()
+        };
+        let m = model();
+        let p = PllSystemProblem::new(
+            Arc::clone(&m),
+            PllArchitecture::default(),
+            loose,
+            LockSimConfig::default(),
+        );
+        let front: Vec<Individual> = [0.25, 0.5, 0.75]
+            .into_iter()
+            .map(|t| {
+                let x = vec![0.8e9 + 1.6e9 * t, 1.5e-3 + 3.0e-3 * t, 30e-12, 3e-12, 4e3];
+                candidate(&p, x)
+            })
+            .collect();
+        let recorder = telemetry::Recorder::new();
+        let mut events = FlowEvents::new();
+        let picked = {
+            let _installed = recorder.install();
+            select(&p, &front, &loose, &mut events).expect("a candidate is accepted")
+        };
+        let snapped = m.nearest_point(picked.solution.kvco, picked.solution.ivco);
+        assert_eq!(picked.sizing, snapped.sizing);
+        assert_eq!(
+            picked.actual.to_array().map(f64::to_bits),
+            snapped.perf.to_array().map(f64::to_bits),
+            "the actual performance is the snapped point's stored nominal"
+        );
+        let metrics = recorder.metrics();
+        assert_eq!(metrics.counter(telemetry::names::SIM_SPARSE_ANALYZE), None);
+        assert!(
+            metrics
+                .histogram(telemetry::names::SIM_NEWTON_ITERATIONS_TRANSIENT)
+                .is_none_or(|h| h.count == 0),
+            "selection ran a transient Newton solve"
+        );
     }
 
     #[test]

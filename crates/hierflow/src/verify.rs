@@ -6,6 +6,7 @@ use behavioral::jitter::pll_jitter_sum;
 use behavioral::params::{PllParams, PLL_FIXED_CURRENT};
 use behavioral::spec::{PllPerformance, PllSpec};
 use behavioral::timesim::{lock_times, LockSimConfig};
+use evalcache::EvalCache;
 use exec::{ExecPolicy, TaskFailure};
 use netlist::topology::VcoSizing;
 use numkit::stats::wilson_interval;
@@ -45,6 +46,13 @@ pub struct VerificationReport {
 /// returns the interruption without recording it; the caller owns that
 /// record.
 ///
+/// An optional evaluation memo cache memoises each `(sizing, sample)`
+/// measurement, as characterisation does: a resumed run, or another
+/// run of the same configuration sharing the cache's disk tier,
+/// replays the samples' metric vectors instead of re-simulating. The
+/// report is bit-identical with and without the cache as long as its
+/// keys are exact; only successful samples are memoised.
+///
 /// # Errors
 ///
 /// Returns [`FlowError::Stage`] when every sample fails to evaluate
@@ -62,9 +70,11 @@ pub fn verify_design(
     mc: &McConfig,
     sim_cfg: &LockSimConfig,
     exec: &ExecPolicy,
+    cache: Option<&EvalCache<Vec<f64>>>,
 ) -> Result<VerificationReport, FlowError> {
     let ring = testbench.build(sizing);
-    let run = engine.run_supervised(&ring.circuit, mc, exec, |_i, perturbed| {
+    let design = sizing.to_array();
+    let run = engine.run_cached(&ring.circuit, mc, exec, &design, cache, |_i, perturbed| {
         testbench
             .evaluate_circuit(perturbed, &ring)
             .map(|p| p.to_array().to_vec())
@@ -183,6 +193,7 @@ mod tests {
             &mc,
             &LockSimConfig::default(),
             &ExecPolicy::default(),
+            None,
         )
         .unwrap();
         assert_eq!(report.total, 8);
@@ -192,6 +203,60 @@ mod tests {
         assert_eq!(
             report.vco_samples.len(),
             report.total - report.evaluation_failures
+        );
+    }
+
+    #[test]
+    fn cached_verification_is_bit_identical_and_replays_warm() {
+        let sizing = VcoSizing::nominal();
+        let tb = VcoTestbench::default();
+        let engine = MonteCarlo::new(ProcessSpec::default());
+        let mc = McConfig {
+            samples: 4,
+            seed: 3,
+            threads: 2,
+            sampler: variation::sampler::SamplerKind::PlainMc,
+        };
+        let verify = |cache: Option<&EvalCache<Vec<f64>>>| {
+            verify_design(
+                &sizing,
+                (30e-12, 3e-12, 4e3),
+                &tb,
+                &PllArchitecture::default(),
+                &PllSpec::default(),
+                &engine,
+                &mc,
+                &LockSimConfig::default(),
+                &ExecPolicy::default(),
+                cache,
+            )
+            .unwrap()
+        };
+        let baseline = verify(None);
+
+        let cache = EvalCache::<Vec<f64>>::new(1024, evalcache::KeyQuantiser::exact(), 0xabc);
+        let cold = verify(Some(&cache));
+        assert_eq!(cold, baseline, "cold cached pass must be bit-identical");
+        assert_eq!(cache.stats().misses, 4, "4 samples simulated");
+
+        let recorder = telemetry::Recorder::new();
+        let warm = {
+            let _installed = recorder.install();
+            verify(Some(&cache))
+        };
+        assert_eq!(warm, baseline, "warm cached pass must be bit-identical");
+        assert_eq!(
+            cache.stats().misses,
+            4,
+            "the warm pass must re-simulate nothing"
+        );
+        assert_eq!(cache.stats().hits, 4);
+        assert_eq!(
+            recorder
+                .metrics()
+                .counter(telemetry::names::SIM_SPARSE_ANALYZE),
+            None,
+            "the warm pass invoked the simulator"
         );
     }
 
@@ -222,6 +287,7 @@ mod tests {
             &mc,
             &LockSimConfig::default(),
             &ExecPolicy::default(),
+            None,
         )
         .unwrap();
         assert_eq!(report.passed, 0);
@@ -247,6 +313,7 @@ mod tests {
             &mc,
             &LockSimConfig::default(),
             &ExecPolicy::default().with_cancel(token),
+            None,
         )
         .unwrap_err();
         let stage = FlowStage::Verify;

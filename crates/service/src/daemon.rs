@@ -40,7 +40,8 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use exec::{CancelToken, RetryPolicy};
-use hierflow::HierarchicalFlow;
+use hierflow::checkpoint::{config_digest, RunDir, Stage1Artifact, STAGE1_FRONT};
+use hierflow::{FlowConfig, FlowError, HierarchicalFlow};
 use serde::{Deserialize, Serialize};
 
 use crate::admission::{AdmissionConfig, RejectReason, Rejection};
@@ -182,6 +183,9 @@ pub struct Daemon {
     recovery: RecoveryReport,
     draining: AtomicBool,
     obs: Option<Arc<Obs>>,
+    /// Seeded stage-1 fronts by testbench digest (see
+    /// [`Daemon::seed_stage1`]).
+    seeds: Mutex<BTreeMap<u64, Stage1Artifact>>,
 }
 
 impl Daemon {
@@ -251,6 +255,7 @@ impl Daemon {
             recovery,
             draining: AtomicBool::new(false),
             obs,
+            seeds: Mutex::new(BTreeMap::new()),
         };
         daemon.refresh_gauges();
         Ok(daemon)
@@ -574,20 +579,7 @@ impl Daemon {
         let started = Instant::now();
         loop {
             if attempt >= self.cfg.max_attempts {
-                self.record(
-                    id,
-                    attempt,
-                    WalRecord::Failed {
-                        job: id,
-                        attempt,
-                        error: "attempt budget exhausted".into(),
-                    },
-                    4,
-                );
-                telemetry::counter_add(names::DAEMON_FAILED, 1);
-                if let Some(obs) = &self.obs {
-                    obs.note_failed(&spec.tenant);
-                }
+                self.fail(id, attempt, &spec.tenant, "attempt budget exhausted".into());
                 return;
             }
             if attempt > 0 {
@@ -625,7 +617,13 @@ impl Daemon {
             };
             let config = spec.flow_config(shared_cache.as_deref());
             if spec.preset.seeded_stage1() {
-                seed_stage1(&run_dir, &config);
+                // Without its artifact the flow would run the preset's
+                // circuit GA, and the report would not be the seeded
+                // preset's.
+                if let Err(e) = self.seed_stage1(&run_dir, &config) {
+                    self.fail(id, attempt, &spec.tenant, format!("seeding stage 1: {e}"));
+                    return;
+                }
             }
             let mut flow = HierarchicalFlow::new(config).with_cancel_token(cancel);
             if let Some(injector) = chaos.sim_faults(id) {
@@ -683,24 +681,56 @@ impl Daemon {
                     attempt += 1;
                 }
                 Err(e) => {
-                    self.record(
-                        id,
-                        attempt,
-                        WalRecord::Failed {
-                            job: id,
-                            attempt,
-                            error: e.to_string(),
-                        },
-                        4,
-                    );
-                    telemetry::counter_add(names::DAEMON_FAILED, 1);
-                    if let Some(obs) = &self.obs {
-                        obs.note_failed(&spec.tenant);
-                    }
+                    self.fail(id, attempt, &spec.tenant, e.to_string());
                     return;
                 }
             }
         }
+    }
+
+    /// Ends a job with a terminal `Failed` record naming `error`.
+    fn fail(&self, id: u64, attempt: u32, tenant: &str, error: String) {
+        self.record(
+            id,
+            attempt,
+            WalRecord::Failed {
+                job: id,
+                attempt,
+                error,
+            },
+            4,
+        );
+        telemetry::counter_add(names::DAEMON_FAILED, 1);
+        if let Some(obs) = &self.obs {
+            obs.note_failed(tenant);
+        }
+    }
+
+    /// Writes a seeded preset's stage-1 front into `run_dir` unless the
+    /// artifact is already there. The front is three real testbench
+    /// evaluations of a nominal-family sweep, a pure function of the
+    /// testbench: the daemon computes it once per testbench and writes
+    /// a copy into each new run directory, so every attempt, and every
+    /// daemon process that resumes the job, finds the identical
+    /// artifact.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FlowError::Checkpoint`] when the run directory cannot
+    /// be created or the artifact cannot be saved.
+    fn seed_stage1(&self, run_dir: &Path, config: &FlowConfig) -> Result<(), FlowError> {
+        if run_dir.join(STAGE1_FRONT).exists() {
+            return Ok(());
+        }
+        // A seeding panic inserts nothing, so a poisoned map is whole.
+        let artifact = self
+            .seeds
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .entry(config_digest(&format!("{:?}", config.testbench)))
+            .or_insert_with(|| conformance::seeded_stage1_front(&config.testbench, 3))
+            .clone();
+        RunDir::create(run_dir)?.save(STAGE1_FRONT, &artifact)
     }
 
     /// Writes the full and semantic reports atomically into the job
@@ -929,21 +959,6 @@ pub struct ShutdownRecord {
     pub flight_events_recorded: u64,
     /// The most recent flight events (tail of the ring).
     pub flight: Vec<FlightEvent>,
-}
-
-/// Seeds a Nano job's stage-1 front: three real testbench evaluations
-/// of a nominal-family sweep, a pure function of the testbench — so
-/// every attempt, and every daemon process that resumes the job,
-/// re-derives the identical artifact when it is missing.
-fn seed_stage1(run_dir: &Path, config: &hierflow::flow::FlowConfig) {
-    use hierflow::checkpoint::{RunDir, STAGE1_FRONT};
-    if run_dir.join(STAGE1_FRONT).exists() {
-        return;
-    }
-    let artifact = conformance::seeded_stage1_front(&config.testbench, 3);
-    if let Ok(run) = RunDir::create(run_dir) {
-        let _ = run.save(STAGE1_FRONT, &artifact);
-    }
 }
 
 /// Smashes the newest stage artifact in a run directory — truncates it

@@ -4,9 +4,11 @@
 use std::fs;
 use std::path::PathBuf;
 
+use hierflow::checkpoint::{EVENTS_FILE, STAGE1_FRONT};
 use service::{
     AdmissionConfig, ChaosPolicy, Daemon, DaemonConfig, JobPhase, JobSpec, RejectReason, Submission,
 };
+use telemetry::names;
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("svc-daemon-{tag}-{}", std::process::id()));
@@ -49,6 +51,88 @@ fn nano_job_completes_and_persists_semantic_report() {
     );
     daemon.write_status().unwrap();
     assert!(dir.join("status.json").exists());
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A daemon whose lifetime recorder is off, so a recorder the test
+/// installs on its own thread sees the work `run_next` does there
+/// outside the flow (the flow runs with the ambient recorder
+/// suspended).
+fn quiet_daemon(dir: &PathBuf) -> Daemon {
+    let mut cfg = DaemonConfig::new(dir);
+    cfg.obs.enabled = false;
+    Daemon::open(cfg).unwrap()
+}
+
+fn completed_digest(daemon: &Daemon, id: u64) -> u64 {
+    match daemon.job_row(id).map(|row| row.phase) {
+        Some(JobPhase::Completed { report_digest }) => report_digest,
+        other => panic!("job {id} did not complete: {other:?}"),
+    }
+}
+
+/// A Nano job's seeded stage-1 front is a pure function of the
+/// testbench, so one daemon simulates it once: its second Nano job runs
+/// no transistor-level analysis outside the flow, and still reports
+/// what a fresh daemon reports for the same spec.
+#[test]
+fn nano_jobs_in_one_daemon_seed_stage1_once() {
+    let recorder = telemetry::Recorder::new();
+    let _installed = recorder.install();
+    let analyses = || {
+        recorder
+            .metrics()
+            .counter(names::SIM_SPARSE_ANALYZE)
+            .unwrap_or(0)
+    };
+
+    let dir = scratch("seed-once");
+    let daemon = quiet_daemon(&dir);
+    let first = accept(&daemon, &JobSpec::nano("a"));
+    let second = accept(&daemon, &JobSpec::nano("b").with_seed_offset(1));
+    assert_eq!(daemon.run_next(), Some(first));
+    let seeding = analyses();
+    assert!(seeding > 0, "the first job simulates the seeded front");
+    assert_eq!(daemon.run_next(), Some(second));
+    assert_eq!(analyses(), seeding, "the second job simulated it again");
+    assert!(daemon.job_run_dir(second).join(STAGE1_FRONT).is_file());
+
+    let fresh_dir = scratch("seed-fresh");
+    let fresh = quiet_daemon(&fresh_dir);
+    let alone = accept(&fresh, &JobSpec::nano("b").with_seed_offset(1));
+    assert_eq!(fresh.run_next(), Some(alone));
+    assert_eq!(
+        completed_digest(&daemon, second),
+        completed_digest(&fresh, alone)
+    );
+    let _ = fs::remove_dir_all(&dir);
+    let _ = fs::remove_dir_all(&fresh_dir);
+}
+
+/// A seeded stage-1 front that cannot be saved fails the job with the
+/// cause: resuming the flow without it would run the preset's circuit
+/// GA and report a different design.
+#[test]
+fn unsaveable_seeded_front_fails_the_job_with_the_cause() {
+    let dir = scratch("seed-unsaveable");
+    let daemon = Daemon::open(DaemonConfig::new(&dir)).unwrap();
+    let id = accept(&daemon, &JobSpec::nano("acme"));
+    let run_dir = daemon.job_run_dir(id);
+    // A directory where the artifact's temporary file goes.
+    fs::create_dir_all(run_dir.join(format!("{STAGE1_FRONT}.tmp"))).unwrap();
+    assert_eq!(daemon.run_until_idle(), 1);
+
+    let status = daemon.status();
+    assert_eq!((status.completed, status.failed), (0, 1));
+    let JobPhase::Failed { error } = &status.jobs[0].phase else {
+        panic!("expected a failure, got {:?}", status.jobs[0].phase);
+    };
+    assert!(error.starts_with("seeding stage 1: checkpoint"), "{error}");
+    assert!(error.contains(STAGE1_FRONT), "{error}");
+    assert!(
+        !run_dir.join(EVENTS_FILE).exists(),
+        "the flow must not start without its seeded front"
+    );
     let _ = fs::remove_dir_all(&dir);
 }
 

@@ -163,7 +163,11 @@ fn main() {
     }
     let total_us: u64 = report.stage_wall.iter().map(|s| s.wall_us).sum();
     println!("  {:<12} {:>9.3} s", "total", total_us as f64 / 1e6);
-    for stage in [FlowStage::CircuitOpt, FlowStage::Characterize] {
+    for stage in [
+        FlowStage::CircuitOpt,
+        FlowStage::Characterize,
+        FlowStage::Verify,
+    ] {
         if let Some((hits, misses, disk_hits, _)) = report.events.cache_stats(stage) {
             let lookups = hits + misses;
             let rate = if lookups == 0 {

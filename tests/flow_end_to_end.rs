@@ -116,11 +116,10 @@ fn checkpointed_flow_resumes_without_repeating_circuit_work() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The tentpole acceptance case: a cache-enabled flow produces
-/// bit-identical artifacts to an uncached one, and after losing its
-/// stage-2 checkpoint a resumed run replays every individual
-/// Monte-Carlo evaluation from the cache's disk tier instead of
-/// re-simulating.
+/// A cache-enabled flow produces bit-identical artifacts to an uncached
+/// one, and after losing its stage-2 and stage-5 checkpoints a resumed
+/// run replays every individual characterisation and verification
+/// sample from the cache's disk tier instead of re-simulating.
 #[test]
 fn cached_flow_is_bit_identical_and_disk_tier_survives_resume() {
     let cfg = micro_config();
@@ -144,6 +143,7 @@ fn cached_flow_is_bit_identical_and_disk_tier_survives_resume() {
     assert_eq!(cached.front, plain.front, "characterised fronts must match");
     assert_eq!(cached.selected, plain.selected);
     assert_eq!(cached.final_sizing, plain.final_sizing);
+    assert_eq!(cached.verification, plain.verification);
     // `HIERSIZER_EVALCACHE=0` forces the cache off over the config: the
     // runs must still agree, but there are no cache counters to check.
     if !evalcache::enabled_from_env(true) {
@@ -158,14 +158,31 @@ fn cached_flow_is_bit_identical_and_disk_tier_survives_resume() {
     assert!(misses > 0, "the cold run evaluates for real");
     assert_eq!(hits, 0, "distinct sizings and samples share no keys");
     assert_eq!(disk_hits, 0);
+    let samples = cfg.verify_mc.samples as u64;
+    assert_eq!(
+        cached.events.cache_stats(FlowStage::Verify),
+        Some((0, samples, 0, 0)),
+        "the cold run simulates every verification sample"
+    );
 
-    // Lose the stage-2 artifact: the resumed run re-characterises, but
-    // its fresh in-memory cache warms entirely from the disk tier.
+    // Lose the stage-2 and stage-5 artifacts: the resumed run
+    // re-characterises and re-verifies, but its fresh in-memory caches
+    // warm entirely from the disk tier.
     std::fs::remove_file(dir_cached.join(STAGE2_CHARACTERIZED)).expect("drop stage-2 artifact");
+    std::fs::remove_file(dir_cached.join(STAGE5_SELECTED)).expect("drop stage-5 artifact");
     let resumed = HierarchicalFlow::new(cached_cfg)
         .resume(&dir_cached)
         .expect("resume completes");
     assert_eq!(resumed.front, plain.front, "replayed front must match");
+    assert_eq!(
+        resumed.verification, plain.verification,
+        "replayed verification must match"
+    );
+    assert_eq!(
+        resumed.events.cache_stats(FlowStage::Verify),
+        Some((samples, 0, samples, 0)),
+        "every verification sample must replay from the disk tier"
+    );
     let (hits, misses, disk_hits, _) = resumed
         .events
         .cache_stats(FlowStage::Characterize)
